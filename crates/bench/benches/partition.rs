@@ -1,6 +1,8 @@
 //! Criterion bench: cost of the three partitioning algorithms as the
 //! process count grows (the paper's §4.3 claim that the CPM algorithm
-//! is the fastest, the numerical the most expensive).
+//! is the fastest, the numerical the most expensive), from p = 4 up to
+//! p = 10 000, where the numerical algorithm's O(p) Newton step and
+//! the geometric algorithm's bisection must both stay tractable.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fupermod_core::model::{AkimaModel, ConstantModel, Model, PiecewiseModel};
@@ -29,7 +31,7 @@ fn nonlinear_points(rank: usize) -> Vec<Point> {
 
 fn bench_partitioners(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition");
-    for p in [4usize, 16, 64] {
+    for p in [4usize, 16, 64, 512, 1024, 10_000] {
         let mut cpms = Vec::new();
         let mut pwls = Vec::new();
         let mut akimas = Vec::new();

@@ -12,9 +12,10 @@
 //! * [`interp`] — piecewise-linear and Akima-spline interpolation of
 //!   empirical time functions, the two interpolation methods the paper's
 //!   functional performance models (FPMs) are built on.
-//! * [`solve`] — scalar and multidimensional root finding, used by the
-//!   numerical data-partitioning algorithm to solve the equal-time
-//!   system, plus dense linear solves for the Newton steps.
+//! * [`solve`] — scalar root finding for the geometrical
+//!   data-partitioning algorithm, and a multidimensional Newton method
+//!   with an O(n) step for the numerical algorithm's equal-time system;
+//!   plus the tridiagonal solve behind the cubic spline.
 //! * [`apportion`] — largest-remainder integer apportionment, used to
 //!   round continuous partitions to whole computation units without
 //!   losing or inventing work.

@@ -1,84 +1,82 @@
 use crate::error::invalid;
 use crate::NumError;
 
-/// Solves the dense linear system `A x = b` in place by Gaussian
-/// elimination with partial pivoting.
+/// Solves `(diag(a) + c·11ᵀ) x = b` in place in O(n) time and no extra
+/// memory — a diagonal matrix plus `c` times the all-ones matrix, the
+/// shape of the equal-time Jacobian of the numerical partitioner.
 ///
-/// `a` is the `n × n` matrix in row-major order and is destroyed; on
-/// success `b` holds the solution.
+/// This is the Sherman–Morrison solve written so that it never divides
+/// by a diagonal entry that may vanish: the row `k` with the smallest
+/// `|aₖ|` is subtracted from every other row, which leaves
+/// `aᵢxᵢ − aₖxₖ = bᵢ − bₖ`. Substituting `xᵢ = (bᵢ − bₖ + aₖxₖ) / aᵢ`
+/// into row `k` gives the scalar equation
+///
+/// ```text
+/// (aₖ + c·(1 + aₖ·Σᵢ≠ₖ 1/aᵢ)) · xₖ = bₖ − c·Σᵢ≠ₖ (bᵢ − bₖ)/aᵢ
+/// ```
+///
+/// whose coefficient is `aₖ` times the Sherman–Morrison denominator
+/// `1 + c·Σ 1/aᵢ`. One zero (or tiny) diagonal entry is therefore
+/// solved exactly, as Gaussian elimination with pivoting would.
+///
+/// `b` holds the right-hand side on entry and the solution on success.
 ///
 /// # Errors
 ///
-/// Returns [`NumError::InvalidInput`] on shape mismatch and
-/// [`NumError::SingularMatrix`] if a pivot underflows working
-/// precision.
+/// Returns [`NumError::InvalidInput`] on length mismatch or an empty
+/// system, and [`NumError::SingularMatrix`] only when the matrix is
+/// singular: two zero diagonal entries, or a coefficient of `xₖ` that
+/// underflows working precision.
 ///
 /// # Examples
 ///
 /// ```
-/// use fupermod_num::solve::solve_dense;
+/// use fupermod_num::solve::solve_diag_rank_one;
 ///
 /// # fn main() -> Result<(), fupermod_num::NumError> {
-/// let mut a = vec![2.0, 1.0, 1.0, 3.0];
+/// // [[1, 1], [1, 3]] x = [3, 5], i.e. diag(0, 2) + 1·11ᵀ.
 /// let mut b = vec![3.0, 5.0];
-/// solve_dense(&mut a, &mut b)?;
-/// assert!((b[0] - 0.8).abs() < 1e-12);
-/// assert!((b[1] - 1.4).abs() < 1e-12);
+/// solve_diag_rank_one(&[0.0, 2.0], 1.0, &mut b)?;
+/// assert!((b[0] - 2.0).abs() < 1e-12);
+/// assert!((b[1] - 1.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_dense(a: &mut [f64], b: &mut [f64]) -> Result<(), NumError> {
+pub fn solve_diag_rank_one(a: &[f64], c: f64, b: &mut [f64]) -> Result<(), NumError> {
     let n = b.len();
-    if a.len() != n * n {
+    if a.len() != n || n == 0 {
         return Err(invalid(format!(
-            "matrix has {} entries, expected {} for a {n}-vector",
-            a.len(),
-            n * n
+            "diagonal has {} entries, expected {n} (at least one)",
+            a.len()
         )));
     }
+    let k = (1..n).fold(0, |k, i| if a[i].abs() < a[k].abs() { i } else { k });
+    let (ak, bk) = (a[k], b[k]);
 
-    for col in 0..n {
-        // Partial pivoting: pick the largest remaining entry in column.
-        let mut pivot_row = col;
-        let mut pivot_val = a[col * n + col].abs();
-        for row in col + 1..n {
-            let v = a[row * n + col].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = row;
-            }
+    let mut inv_sum = 0.0;
+    let mut weighted = 0.0;
+    for (i, (&ai, &bi)) in a.iter().zip(b.iter()).enumerate() {
+        if i == k {
+            continue;
         }
-        if pivot_val < 1e-300 {
+        if ai == 0.0 {
+            // Two zero diagonal entries: those two rows are equal.
             return Err(NumError::SingularMatrix);
         }
-        if pivot_row != col {
-            for k in 0..n {
-                a.swap(col * n + k, pivot_row * n + k);
-            }
-            b.swap(col, pivot_row);
-        }
-
-        let pivot = a[col * n + col];
-        for row in col + 1..n {
-            let factor = a[row * n + col] / pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            a[row * n + col] = 0.0;
-            for k in col + 1..n {
-                a[row * n + k] -= factor * a[col * n + k];
-            }
-            b[row] -= factor * b[col];
-        }
+        inv_sum += 1.0 / ai;
+        weighted += (bi - bk) / ai;
     }
-
-    // Back substitution.
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in row + 1..n {
-            acc -= a[row * n + k] * b[k];
-        }
-        b[row] = acc / a[row * n + row];
+    let coeff = ak + c * (1.0 + ak * inv_sum);
+    if coeff.is_nan() || coeff.abs() < 1e-300 {
+        return Err(NumError::SingularMatrix);
+    }
+    let xk = (bk - c * weighted) / coeff;
+    for (i, (&ai, bi)) in a.iter().zip(b.iter_mut()).enumerate() {
+        *bi = if i == k {
+            xk
+        } else {
+            (*bi - bk + ak * xk) / ai
+        };
     }
     Ok(())
 }
@@ -135,46 +133,71 @@ pub fn solve_tridiagonal(
 mod tests {
     use super::*;
 
-    #[test]
-    fn identity_is_noop() {
-        let mut a = vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
-        let mut b = vec![4.0, -2.0, 7.0];
-        solve_dense(&mut a, &mut b).unwrap();
-        assert_eq!(b, vec![4.0, -2.0, 7.0]);
+    /// `(diag(a) + c·11ᵀ) x − b` in the max-norm, by the explicit O(n²)
+    /// product.
+    fn diag_rank_one_residual(a: &[f64], c: f64, x: &[f64], b: &[f64]) -> f64 {
+        let n = a.len();
+        (0..n)
+            .map(|i| {
+                let row: f64 = (0..n)
+                    .map(|j| (if i == j { a[i] } else { 0.0 } + c) * x[j])
+                    .sum();
+                (row - b[i]).abs()
+            })
+            .fold(0.0, f64::max)
     }
 
     #[test]
-    fn solves_3x3_requiring_pivoting() {
-        // First pivot is zero, forcing a row swap.
-        let mut a = vec![0.0, 2.0, 1.0, 1.0, -1.0, 0.0, 3.0, 0.0, -2.0];
-        let x_true = [1.5, -0.5, 2.0];
-        let mut b = vec![
-            0.0 * x_true[0] + 2.0 * x_true[1] + 1.0 * x_true[2],
-            1.0 * x_true[0] - 1.0 * x_true[1],
-            3.0 * x_true[0] - 2.0 * x_true[2],
+    fn diag_rank_one_solves_regular_systems() {
+        let cases: [(&[f64], f64); 4] = [
+            (&[2.0, -1.5, 4.0, 0.5], 0.75),
+            (&[1.0], 2.0),
+            // One zero diagonal entry: Sherman–Morrison proper would
+            // divide by it.
+            (&[3.0, 0.0, 1.25], 0.4),
+            // One tiny entry, where 1/aₖ would swamp the other terms.
+            (&[2.0, 1e-18, -0.5, 1.0], 0.3),
         ];
-        solve_dense(&mut a, &mut b).unwrap();
-        for (got, want) in b.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-12);
+        for (a, c) in cases {
+            let b: Vec<f64> = (0..a.len()).map(|i| 1.0 - 0.75 * i as f64).collect();
+            let mut x = b.clone();
+            solve_diag_rank_one(a, c, &mut x).unwrap();
+            let residual = diag_rank_one_residual(a, c, &x, &b);
+            assert!(
+                residual < 1e-12,
+                "a = {a:?}, c = {c}: residual {residual:e}"
+            );
         }
     }
 
     #[test]
-    fn detects_singularity() {
-        let mut a = vec![1.0, 2.0, 2.0, 4.0];
-        let mut b = vec![1.0, 2.0];
+    fn diag_rank_one_detects_singularity() {
+        // Two zero diagonal entries make two rows equal.
         assert_eq!(
-            solve_dense(&mut a, &mut b).unwrap_err(),
+            solve_diag_rank_one(&[0.0, 1.0, 0.0], 1.0, &mut [1.0, 2.0, 3.0]).unwrap_err(),
+            NumError::SingularMatrix
+        );
+        // diag(1, 1) − ½·11ᵀ = [[½, −½], [−½, ½]]: the Sherman–Morrison
+        // denominator 1 + c·Σ 1/aᵢ = 1 − ½·2 vanishes.
+        assert_eq!(
+            solve_diag_rank_one(&[1.0, 1.0], -0.5, &mut [1.0, 2.0]).unwrap_err(),
+            NumError::SingularMatrix
+        );
+        // A zero diagonal with no rank-one part.
+        assert_eq!(
+            solve_diag_rank_one(&[0.0, 1.0], 0.0, &mut [1.0, 2.0]).unwrap_err(),
             NumError::SingularMatrix
         );
     }
 
     #[test]
-    fn rejects_shape_mismatch() {
-        let mut a = vec![1.0; 6];
-        let mut b = vec![1.0; 2];
+    fn diag_rank_one_rejects_shape_mismatch() {
         assert!(matches!(
-            solve_dense(&mut a, &mut b),
+            solve_diag_rank_one(&[1.0; 3], 1.0, &mut [1.0; 2]),
+            Err(NumError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            solve_diag_rank_one(&[], 1.0, &mut []),
             Err(NumError::InvalidInput(_))
         ));
     }
@@ -195,29 +218,24 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonal_matches_dense_solver() {
+    fn tridiagonal_band_residual_vanishes() {
         let n = 10;
         let sub: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { -1.0 + 0.05 * i as f64 }).collect();
         let diag: Vec<f64> = (0..n).map(|i| 4.0 + 0.1 * i as f64).collect();
         let sup: Vec<f64> = (0..n).map(|i| if i == n - 1 { 0.0 } else { -0.7 }).collect();
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 2.0).collect();
 
-        let tri = solve_tridiagonal(&sub, &diag, &sup, &rhs).unwrap();
+        let x = solve_tridiagonal(&sub, &diag, &sup, &rhs).unwrap();
 
-        let mut dense = vec![0.0; n * n];
         for i in 0..n {
-            dense[i * n + i] = diag[i];
+            let mut ax = diag[i] * x[i];
             if i > 0 {
-                dense[i * n + i - 1] = sub[i];
+                ax += sub[i] * x[i - 1];
             }
             if i + 1 < n {
-                dense[i * n + i + 1] = sup[i];
+                ax += sup[i] * x[i + 1];
             }
-        }
-        let mut b = rhs.clone();
-        solve_dense(&mut dense, &mut b).unwrap();
-        for (t, d) in tri.iter().zip(&b) {
-            assert!((t - d).abs() < 1e-10);
+            assert!((ax - rhs[i]).abs() < 1e-12, "row {i}: {ax} vs {}", rhs[i]);
         }
     }
 
@@ -232,26 +250,5 @@ mod tests {
             solve_tridiagonal(&[0.0], &[0.0], &[0.0], &[1.0]),
             Err(NumError::SingularMatrix)
         ));
-    }
-
-    #[test]
-    fn random_systems_round_trip() {
-        // Deterministic pseudo-random matrix; verify A x = b residual.
-        let n = 8;
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let a_orig: Vec<f64> = (0..n * n).map(|_| next() * 10.0).collect();
-        let x_true: Vec<f64> = (0..n).map(|_| next() * 5.0).collect();
-        let mut b: Vec<f64> = (0..n)
-            .map(|i| (0..n).map(|j| a_orig[i * n + j] * x_true[j]).sum())
-            .collect();
-        let mut a = a_orig.clone();
-        solve_dense(&mut a, &mut b).unwrap();
-        for (got, want) in b.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-8, "got {got}, want {want}");
-        }
     }
 }

@@ -1,20 +1,22 @@
 //! Root finding and linear algebra for the partitioning algorithms.
 //!
-//! * [`bisect`] / [`brent`] — scalar roots, used by the geometrical
-//!   partitioning algorithm (bisection of lines through the origin) and
-//!   as a robust fallback for the numerical algorithm.
+//! * [`bisect`] / [`brent`] — scalar roots. Bisection drives the
+//!   geometrical partitioning algorithm (bisection of lines through the
+//!   origin).
 //! * [`newton_system`] — damped multidimensional Newton with
-//!   backtracking line search, the solver behind the Akima-FPM
-//!   partitioner (the paper's "multidimensional solvers" \[15\]).
-//! * [`solve_dense`] — Gaussian elimination with partial pivoting for
-//!   the Newton steps.
+//!   backtracking line search for systems whose Jacobian is a diagonal
+//!   plus a multiple of the all-ones matrix: the equal-time system of
+//!   the Akima-FPM numerical partitioner (the paper's
+//!   "multidimensional solvers" \[15\]).
+//! * [`solve_diag_rank_one`] — the O(n) linear solve of that Jacobian
+//!   for the Newton steps.
+//! * [`solve_tridiagonal`] — the Thomas algorithm, for the cubic
+//!   spline.
 
-mod broyden;
 mod lin;
 mod newton;
 mod scalar;
 
-pub use broyden::broyden_system;
-pub use lin::{solve_dense, solve_tridiagonal};
-pub use newton::{finite_difference_jacobian, newton_system, NewtonOptions, NewtonReport};
+pub use lin::{solve_diag_rank_one, solve_tridiagonal};
+pub use newton::{newton_system, NewtonOptions, NewtonReport};
 pub use scalar::{bisect, brent, RootOptions};

@@ -1,4 +1,4 @@
-use super::lin::solve_dense;
+use super::lin::solve_diag_rank_one;
 use crate::error::invalid;
 use crate::NumError;
 
@@ -38,21 +38,24 @@ pub struct NewtonReport {
     pub residual: f64,
 }
 
-pub(super) fn max_norm(v: &[f64]) -> f64 {
+fn max_norm(v: &[f64]) -> f64 {
     v.iter().fold(0.0, |m, x| m.max(x.abs()))
 }
 
 /// Solves the square non-linear system `F(x) = 0` by damped Newton
-/// iteration with a backtracking line search on `‖F‖∞`.
+/// iteration with a backtracking line search on `‖F‖∞`, for systems
+/// whose Jacobian is a diagonal plus a multiple of the all-ones matrix,
+/// `J(x) = diag(a(x)) + c(x)·11ᵀ`.
 ///
 /// * `f(x, out)` writes the residual vector into `out`.
-/// * `jac(x, out)` writes the row-major Jacobian into `out`
-///   (`n × n`).
+/// * `jac(x, a)` writes the diagonal `a` into `a` and returns `c`.
 ///
 /// This is the engine behind the paper's "numerical algorithm" for
-/// data partitioning \[15\]: the equal-time conditions over Akima-spline
-/// time functions form a smooth system whose Jacobian is available
-/// analytically from the spline derivatives.
+/// data partitioning \[15\]: the equal-time conditions
+/// `tᵢ(xᵢ) − tₚ(D − Σx) = 0` have exactly this Jacobian, with
+/// `aᵢ = tᵢ′(xᵢ)` and `c = tₚ′(D − Σx)`, so each Newton step is the
+/// O(n) [`solve_diag_rank_one`] and an iteration costs O(n) time and
+/// memory.
 ///
 /// # Errors
 ///
@@ -63,7 +66,7 @@ pub(super) fn max_norm(v: &[f64]) -> f64 {
 ///   line search stalled.
 pub fn newton_system(
     mut f: impl FnMut(&[f64], &mut [f64]),
-    mut jac: impl FnMut(&[f64], &mut [f64]),
+    mut jac: impl FnMut(&[f64], &mut [f64]) -> f64,
     x0: &[f64],
     opts: NewtonOptions,
 ) -> Result<NewtonReport, NumError> {
@@ -74,7 +77,7 @@ pub fn newton_system(
 
     let mut x = x0.to_vec();
     let mut fx = vec![0.0; n];
-    let mut j = vec![0.0; n * n];
+    let mut diag = vec![0.0; n];
     let mut step = vec![0.0; n];
     let mut trial = vec![0.0; n];
     let mut f_trial = vec![0.0; n];
@@ -94,12 +97,12 @@ pub fn newton_system(
             });
         }
 
-        jac(&x, &mut j);
+        let c = jac(&x, &mut diag);
         // Newton step: J * step = -F.
-        let mut rhs: Vec<f64> = fx.iter().map(|v| -v).collect();
-        let mut jcopy = j.clone();
-        solve_dense(&mut jcopy, &mut rhs)?;
-        step.copy_from_slice(&rhs);
+        for (s, v) in step.iter_mut().zip(&fx) {
+            *s = -v;
+        }
+        solve_diag_rank_one(&diag, c, &mut step)?;
 
         // Backtracking line search: halve until the residual norm drops.
         let mut lambda = 1.0;
@@ -150,30 +153,6 @@ pub fn newton_system(
     })
 }
 
-/// Forward-difference Jacobian approximation, for systems whose
-/// analytic Jacobian is unavailable. Writes row-major into `out`.
-pub fn finite_difference_jacobian(
-    mut f: impl FnMut(&[f64], &mut [f64]),
-    x: &[f64],
-    out: &mut [f64],
-) {
-    let n = x.len();
-    assert_eq!(out.len(), n * n, "Jacobian buffer has wrong size");
-    let mut base = vec![0.0; n];
-    let mut bumped = vec![0.0; n];
-    let mut xp = x.to_vec();
-    f(x, &mut base);
-    for col in 0..n {
-        let h = 1e-7 * x[col].abs().max(1e-7);
-        xp[col] = x[col] + h;
-        f(&xp, &mut bumped);
-        xp[col] = x[col];
-        for row in 0..n {
-            out[row * n + col] = (bumped[row] - base[row]) / h;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +161,10 @@ mod tests {
     fn scalar_square_root() {
         let report = newton_system(
             |x, out| out[0] = x[0] * x[0] - 2.0,
-            |x, out| out[0] = 2.0 * x[0],
+            |x, a| {
+                a[0] = 2.0 * x[0];
+                0.0
+            },
             &[1.0],
             NewtonOptions::default(),
         )
@@ -192,42 +174,37 @@ mod tests {
     }
 
     #[test]
-    fn coupled_2d_system() {
-        // x^2 + y^2 = 4, x*y = 1. One solution near (1.93, 0.52).
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = x[0] * x[0] + x[1] * x[1] - 4.0;
-            out[1] = x[0] * x[1] - 1.0;
-        };
-        let jac = |x: &[f64], out: &mut [f64]| {
-            out[0] = 2.0 * x[0];
-            out[1] = 2.0 * x[1];
-            out[2] = x[1];
-            out[3] = x[0];
-        };
-        let report = newton_system(f, jac, &[2.0, 0.6], NewtonOptions::default()).unwrap();
-        let (x, y) = (report.x[0], report.x[1]);
-        assert!((x * x + y * y - 4.0).abs() < 1e-8);
-        assert!((x * y - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn works_with_finite_difference_jacobian() {
-        let f = |x: &[f64], out: &mut [f64]| {
-            out[0] = (x[0] - 3.0).powi(3) + x[1];
-            out[1] = x[1] - 0.5 * x[0];
-        };
-        let jac = |x: &[f64], out: &mut [f64]| finite_difference_jacobian(f, x, out);
-        let report = newton_system(f, jac, &[1.0, 1.0], NewtonOptions::default()).unwrap();
-        let mut res = vec![0.0; 2];
-        f(&report.x, &mut res);
-        assert!(max_norm(&res) < 1e-6);
+    fn equal_time_system() {
+        // t₁(x) = x², t₂(x) = 2x, t₃(y) = 2y with y = 6 − x₁ − x₂:
+        // J = diag(2x₁, 2) + 2·11ᵀ. The root is x₁ = x₂ = y = 2, where
+        // every time is 4.
+        let report = newton_system(
+            |x, out| {
+                let y = 6.0 - x[0] - x[1];
+                out[0] = x[0] * x[0] - 2.0 * y;
+                out[1] = 2.0 * x[1] - 2.0 * y;
+            },
+            |x, a| {
+                a[0] = 2.0 * x[0];
+                a[1] = 2.0;
+                2.0
+            },
+            &[1.0, 1.0],
+            NewtonOptions::default(),
+        )
+        .unwrap();
+        assert!((report.x[0] - 2.0).abs() < 1e-9, "{:?}", report.x);
+        assert!((report.x[1] - 2.0).abs() < 1e-9, "{:?}", report.x);
     }
 
     #[test]
     fn detects_singular_jacobian() {
         let err = newton_system(
             |_, out| out[0] = 1.0,
-            |_, out| out[0] = 0.0,
+            |_, a| {
+                a[0] = 0.0;
+                0.0
+            },
             &[0.0],
             NewtonOptions::default(),
         )
@@ -240,7 +217,10 @@ mod tests {
         // f(x) = x^2 + 1 has no real root; line search must stall.
         let err = newton_system(
             |x, out| out[0] = x[0] * x[0] + 1.0,
-            |x, out| out[0] = 2.0 * x[0],
+            |x, a| {
+                a[0] = 2.0 * x[0];
+                0.0
+            },
             &[3.0],
             NewtonOptions {
                 max_iter: 50,
@@ -255,7 +235,10 @@ mod tests {
     fn already_converged_start_returns_immediately() {
         let report = newton_system(
             |x, out| out[0] = x[0],
-            |_, out| out[0] = 1.0,
+            |_, a| {
+                a[0] = 1.0;
+                0.0
+            },
             &[0.0],
             NewtonOptions::default(),
         )

@@ -20,6 +20,9 @@ run cargo bench --workspace --no-run -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # are fast and worth re-running with optimisations on: release codegen
 # reorders float work more aggressively than dev profile does.
 run cargo test --release -p fupermod-kernels -q "${EXTRA[@]+"${EXTRA[@]}"}"
+# Likewise the numerical partitioner's outcome-identity digests and its
+# O(p) Newton step against the explicit Jacobian product.
+run cargo test --release -p fupermod-core --test numerical_identity -q "${EXTRA[@]+"${EXTRA[@]}"}"
 # The runtime's collective/fault tests — including the hub/ring/tree
 # collective-parity suite (crates/runtime/tests/parity.rs) — spawn one
 # thread per rank and assert on wall-clock deadlines; run them
