@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use fupermod_core::model::Model;
 use fupermod_core::partition::Partitioner;
-use fupermod_core::trace::{metrics, null_sink, JsonlSink, TraceSink};
+use fupermod_core::telemetry;
+use fupermod_core::trace::{null_sink, JsonlSink, TraceSink};
 use fupermod_core::{CoreError, Point, Precision};
 use fupermod_platform::{Platform, WorkloadProfile};
 
@@ -23,8 +24,9 @@ use fupermod_platform::{Platform, WorkloadProfile};
 /// binary accepts). The directory forms write
 /// `DIR/<name>.trace.jsonl` next to the CSV the binary prints to
 /// stdout (schema in `docs/OBSERVABILITY.md`). Opening a sink also
-/// enables the process-wide latency histograms, which
-/// [`finish_experiment_trace`] exports as `metrics` snapshot events.
+/// enables the process-wide telemetry registry
+/// ([`telemetry::global`]), which [`finish_experiment_trace`] exports
+/// as `metrics` events.
 ///
 /// Returns `None` when tracing was not requested. Exits with status 1
 /// when the requested directory/file cannot be created — a requested
@@ -46,7 +48,7 @@ pub fn experiment_trace(name: &str) -> Option<Arc<dyn TraceSink>> {
     match JsonlSink::create(&path) {
         Ok(sink) => {
             eprintln!("# trace -> {}", path.display());
-            metrics().set_histograms_enabled(true);
+            telemetry::global().set_enabled(true);
             Some(Arc::new(sink))
         }
         Err(e) => {
@@ -82,19 +84,20 @@ pub fn parallelism_from_args() -> usize {
     }
 }
 
-/// Exports the latency-histogram snapshots as `metrics` events and
-/// flushes an experiment trace sink (if one was opened), then prints
-/// the process-wide metrics summary to stderr. Call once before
-/// exiting. Exits with status 1 on a deferred trace write error.
+/// For a traced run: exports the process-wide telemetry registry
+/// ([`telemetry::global`]) as `metrics` events, flushes the experiment
+/// trace sink (exiting with status 1 on a deferred write error), and
+/// prints the [`telemetry::summary`] of the same snapshot to stderr.
+/// Does nothing for an untraced run. Call once before exiting.
 pub fn finish_experiment_trace(sink: Option<&Arc<dyn TraceSink>>) {
-    if let Some(sink) = sink {
-        metrics().export_histogram_events(sink.as_ref());
-        if let Err(e) = sink.flush() {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
+    let Some(sink) = sink else { return };
+    let snapshot = telemetry::global().snapshot();
+    snapshot.export_trace_events(0, sink.as_ref());
+    if let Err(e) = sink.flush() {
+        eprintln!("trace write failed: {e}");
+        std::process::exit(1);
     }
-    eprintln!("# {}", metrics().summary());
+    eprintln!("# {}", telemetry::summary(&snapshot));
 }
 
 /// The sink to hand to `*_traced` helpers: the opened experiment sink,

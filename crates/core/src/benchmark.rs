@@ -20,7 +20,8 @@ use std::sync::{Barrier, Mutex};
 use fupermod_num::stats::{IncrementalStats, OnlineStats};
 
 use crate::kernel::{Kernel, KernelContext};
-use crate::trace::{metrics, null_sink, TraceEvent, TraceSink};
+use crate::telemetry::global_telemetry;
+use crate::trace::{null_sink, TraceEvent, TraceSink};
 use crate::{CoreError, Point, Precision};
 
 /// Benchmark runner parameterised by a [`Precision`].
@@ -103,7 +104,7 @@ impl<'a> Benchmark<'a> {
     /// Propagates kernel initialisation/execution failures.
     pub fn measure(&self, kernel: &mut dyn Kernel, d: u64) -> Result<Point, CoreError> {
         let mut ctx = kernel.context(d)?;
-        metrics().add_kernel();
+        global_telemetry().kernel_sessions.inc();
         let mut samples = IncrementalStats::new();
         let mut spent = 0.0;
         let p = self.precision;
@@ -113,7 +114,7 @@ impl<'a> Benchmark<'a> {
             let t = ctx.run()?.as_secs_f64();
             samples.push(t);
             spent += t;
-            metrics().record_bench_rep(t);
+            global_telemetry().bench_rep.record(t);
             stats = self.effective_stats(&samples);
             self.trace.record(&TraceEvent::BenchmarkSample {
                 rank: 0,
@@ -127,8 +128,8 @@ impl<'a> Benchmark<'a> {
             }
         }
         let outliers = samples.count() - stats.count();
-        metrics().add_reps(samples.count());
-        metrics().add_outliers(outliers);
+        global_telemetry().bench_reps.add(samples.count());
+        global_telemetry().outliers_rejected.add(outliers);
         let point = point_from_stats(d, &stats, p);
         self.trace.record(&TraceEvent::BenchmarkDone {
             rank: 0,
@@ -178,7 +179,7 @@ impl<'a> Benchmark<'a> {
         let mut contexts: Vec<Box<dyn KernelContext>> = Vec::with_capacity(n);
         for (k, &d) in kernels.iter_mut().zip(sizes) {
             contexts.push(k.context(d)?);
-            metrics().add_kernel();
+            global_telemetry().kernel_sessions.inc();
         }
 
         let barrier = Barrier::new(n);
@@ -215,7 +216,7 @@ impl<'a> Benchmark<'a> {
                         }
                         stats = this.effective_stats(&samples);
                         if let Some(t) = rep_time {
-                            metrics().record_bench_rep(t);
+                            global_telemetry().bench_rep.record(t);
                             this.trace.record(&TraceEvent::BenchmarkSample {
                                 rank,
                                 d,
@@ -241,8 +242,8 @@ impl<'a> Benchmark<'a> {
                         }
                     }
                     let outliers = samples.count() - stats.count();
-                    metrics().add_reps(samples.count());
-                    metrics().add_outliers(outliers);
+                    global_telemetry().bench_reps.add(samples.count());
+                    global_telemetry().outliers_rejected.add(outliers);
                     if error.lock().expect("poisoned").is_none() {
                         this.trace.record(&TraceEvent::BenchmarkDone {
                             rank,

@@ -22,9 +22,11 @@
 //!   returned — again exactly what the serial loop would have done.
 //!
 //! The only observable difference is the process-wide
-//! [`metrics`](crate::trace::metrics) counters, which may include work
-//! from ranks that a serial build would never have reached after an
-//! error; they are diagnostic totals, not part of the trace schema.
+//! [`telemetry`](crate::telemetry::global) counters
+//! (`fupermod_kernel_sessions_total` and its siblings), which may
+//! include work from ranks that a serial build would never have
+//! reached after an error; they are diagnostic totals, not trace
+//! events of the build itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -6,8 +6,7 @@
 //!
 //! The hot path is lock-free: recording into a registered handle is
 //! a couple of relaxed atomic operations, and a *disabled* registry
-//! costs exactly one relaxed boolean load per record — the same
-//! gating discipline as [`crate::trace::Metrics`]'s histograms, so
+//! costs exactly one relaxed boolean load per record, so
 //! untelemetered runs pay nothing measurable (see the
 //! `telemetry_overhead` bench). Registration takes a mutex, but is
 //! expected once per (name, label-set) at startup; handles are cheap
@@ -16,10 +15,18 @@
 //! Naming follows the Prometheus conventions: `snake_case` metric
 //! names with a unit suffix (`_total` for counters,
 //! `_duration_seconds` for latency histograms), label keys
-//! `[a-zA-Z_][a-zA-Z0-9_]*`. The process-wide [`global`] registry
-//! starts **disabled**; `fupermod_served` owns a per-store registry
-//! that is always enabled, and traced CLI runs enable the global one
-//! alongside the trace sink.
+//! `[a-zA-Z_][a-zA-Z0-9_]*`.
+//!
+//! The process-wide [`global`] registry is the only process-wide
+//! metrics path: communication latency, faults, and the measurement
+//! and partitioning counters (kernel sessions, repetitions, rejected
+//! outliers, repartitions, units moved) plus the benchmark-repetition
+//! histogram all record into it. It starts **disabled**, and
+//! [`Registry::set_enabled`] is its one switch: traced runs — the CLI
+//! binaries and the experiment binaries alike — turn it on alongside
+//! the trace sink, export its snapshot as `metrics` events at exit and
+//! print [`summary`]. `fupermod_served` additionally owns a per-store
+//! registry that is always enabled.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -645,16 +652,30 @@ fn fmt_sample(v: f64) -> String {
 }
 
 /// The process-wide telemetry bundle: the registry plus
-/// pre-registered hot-path handles (per-op communication latency,
-/// per-kind fault counters) so the runtime's record paths never take
-/// the registration mutex.
-struct GlobalTelemetry {
+/// pre-registered hot-path handles so record paths never take the
+/// registration mutex — per-op communication latency and per-kind
+/// fault counters (fed by the runtime), and the measurement and
+/// partitioning counters and the benchmark-repetition histogram (fed
+/// from inside this crate).
+pub(crate) struct GlobalTelemetry {
     registry: Registry,
     comm: Vec<Histogram>,
     faults: Vec<Counter>,
+    /// `fupermod_kernel_sessions_total`.
+    pub(crate) kernel_sessions: Counter,
+    /// `fupermod_bench_reps_total`.
+    pub(crate) bench_reps: Counter,
+    /// `fupermod_outliers_rejected_total`.
+    pub(crate) outliers_rejected: Counter,
+    /// `fupermod_repartitions_total`.
+    pub(crate) repartitions: Counter,
+    /// `fupermod_units_moved_total`.
+    pub(crate) units_moved: Counter,
+    /// `fupermod_bench_rep_duration_seconds`.
+    pub(crate) bench_rep: Histogram,
 }
 
-fn global_telemetry() -> &'static GlobalTelemetry {
+pub(crate) fn global_telemetry() -> &'static GlobalTelemetry {
     static GLOBAL: OnceLock<GlobalTelemetry> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         // Disabled by default: unscraped, untraced runs pay one
@@ -680,7 +701,33 @@ fn global_telemetry() -> &'static GlobalTelemetry {
                 )
             })
             .collect();
+        let counter = |name, help| registry.counter(name, help, &[]);
         GlobalTelemetry {
+            kernel_sessions: counter(
+                "fupermod_kernel_sessions_total",
+                "Kernel measurement sessions (contexts) executed.",
+            ),
+            bench_reps: counter(
+                "fupermod_bench_reps_total",
+                "Benchmark repetitions across all measurements.",
+            ),
+            outliers_rejected: counter(
+                "fupermod_outliers_rejected_total",
+                "Benchmark samples rejected by MAD outlier filtering.",
+            ),
+            repartitions: counter(
+                "fupermod_repartitions_total",
+                "Partitioner invocations that produced a distribution.",
+            ),
+            units_moved: counter(
+                "fupermod_units_moved_total",
+                "Computation units that changed owner across dynamic steps.",
+            ),
+            bench_rep: registry.histogram(
+                "fupermod_bench_rep_duration_seconds",
+                "Benchmark repetition time.",
+                &[],
+            ),
             registry,
             comm,
             faults,
@@ -721,6 +768,21 @@ pub fn record_fault(kind: &str) {
     if let Some(i) = FAULT_KINDS.iter().position(|&k| k == kind) {
         g.faults[i].inc();
     }
+}
+
+/// One-line at-exit summary of the measurement and partitioning
+/// counters in `snapshot` (normally [`global`]'s, taken once for both
+/// the trace export and this line so the two agree):
+/// `fupermod metrics: kernels=… reps=… outliers_rejected=… repartitions=… units_moved=…`.
+pub fn summary(snapshot: &RegistrySnapshot) -> String {
+    format!(
+        "fupermod metrics: kernels={} reps={} outliers_rejected={} repartitions={} units_moved={}",
+        snapshot.counter_total("fupermod_kernel_sessions_total"),
+        snapshot.counter_total("fupermod_bench_reps_total"),
+        snapshot.counter_total("fupermod_outliers_rejected_total"),
+        snapshot.counter_total("fupermod_repartitions_total"),
+        snapshot.counter_total("fupermod_units_moved_total"),
+    )
 }
 
 #[cfg(test)]
@@ -840,8 +902,13 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that flip the global registry's enabled
+    /// flag, so one cannot switch it under another's assertions.
+    static GLOBAL_FLAG: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_registry_feeds_comm_and_faults_when_enabled() {
+        let _flag = GLOBAL_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         // The global registry is shared process-wide; leave it the
         // way we found it.
         let was = global().enabled();
@@ -863,5 +930,90 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         global().set_enabled(was);
+    }
+
+    /// The five measurement/partitioning counters and the
+    /// bench-repetition sample count, read from a global snapshot.
+    fn global_counts() -> [u64; 6] {
+        let snap = global().snapshot();
+        let reps = match snap.find("fupermod_bench_rep_duration_seconds", &[]) {
+            Some(SampleValue::Histogram(h)) => h.count,
+            other => panic!("unexpected {other:?}"),
+        };
+        [
+            snap.counter_total("fupermod_kernel_sessions_total"),
+            snap.counter_total("fupermod_bench_reps_total"),
+            snap.counter_total("fupermod_outliers_rejected_total"),
+            snap.counter_total("fupermod_repartitions_total"),
+            snap.counter_total("fupermod_units_moved_total"),
+            reps,
+        ]
+    }
+
+    fn feed_global_handles() {
+        let g = global_telemetry();
+        g.kernel_sessions.inc();
+        g.bench_reps.add(10);
+        g.outliers_rejected.add(2);
+        g.repartitions.inc();
+        g.units_moved.add(40);
+        g.bench_rep.record(1e-3);
+    }
+
+    #[test]
+    fn global_handles_record_only_while_enabled() {
+        let _flag = GLOBAL_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        let was = global().enabled();
+        // Other tests may partition or benchmark concurrently, so the
+        // enabled leg asserts lower bounds; while disabled nothing
+        // anywhere can record, so that leg is exact.
+        global().set_enabled(false);
+        let before = global_counts();
+        feed_global_handles();
+        assert_eq!(global_counts(), before);
+
+        global().set_enabled(true);
+        let before = global_counts();
+        feed_global_handles();
+        let after = global_counts();
+        for ((a, b), want) in after.iter().zip(before).zip([1, 10, 2, 1, 40, 1]) {
+            assert!(a - b >= want, "delta {} < {want}", a - b);
+        }
+
+        // Every series exports as one `metrics` event.
+        let sink = MemorySink::new();
+        let snap = global().snapshot();
+        let n = snap.export_trace_events(0, &sink);
+        assert_eq!(n, sink.len());
+        assert!(sink.events().iter().any(|e| matches!(
+            e,
+            TraceEvent::Metrics { scope, kind, count, .. }
+                if scope == "fupermod_bench_rep_duration_seconds"
+                    && kind == "histogram"
+                    && *count >= 1
+        )));
+        global().set_enabled(was);
+    }
+
+    #[test]
+    fn summary_keeps_its_line_format() {
+        let r = Registry::new(true);
+        for (name, v) in [
+            ("fupermod_kernel_sessions_total", 1),
+            ("fupermod_bench_reps_total", 10),
+            ("fupermod_outliers_rejected_total", 2),
+            ("fupermod_repartitions_total", 3),
+            ("fupermod_units_moved_total", 40),
+        ] {
+            r.counter(name, "", &[]).add(v);
+        }
+        assert_eq!(
+            summary(&r.snapshot()),
+            "fupermod metrics: kernels=1 reps=10 outliers_rejected=2 repartitions=3 units_moved=40"
+        );
+        assert_eq!(
+            summary(&Registry::new(true).snapshot()),
+            "fupermod metrics: kernels=0 reps=0 outliers_rejected=0 repartitions=0 units_moved=0"
+        );
     }
 }

@@ -31,15 +31,16 @@
 //!
 //! Everything here is `std`-only and thread-safe: sinks take `&self`
 //! and are `Send + Sync`, so the group benchmark's worker threads can
-//! share one sink. A process-wide counters facade ([`metrics`])
-//! aggregates totals (kernels, repetitions, outliers, repartitions,
-//! units moved) for an at-exit summary.
+//! share one sink. Process-wide totals (kernels, repetitions,
+//! outliers, repartitions, units moved) and latency histograms live in
+//! the [`telemetry`](crate::telemetry) registry, which traced runs
+//! export into the sink as `metrics` events at exit.
 
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::model::Model;
@@ -182,18 +183,19 @@ pub enum TraceEvent {
         seconds: f64,
     },
     /// A metric sample (schema v3; `kind`/`labels` are the schema-v4
-    /// addendum): a latency-histogram snapshot exported by
-    /// [`Metrics::export_histogram_events`], or a labelled counter /
-    /// gauge / histogram exported by the live telemetry registry
-    /// (`telemetry` module).
+    /// addendum): one labelled counter, gauge or latency histogram
+    /// exported by the telemetry registry
+    /// ([`RegistrySnapshot::export_trace_events`](crate::telemetry::RegistrySnapshot::export_trace_events)).
     Metrics {
         /// Rank the sample describes (`0` for process-wide
-        /// metrics, which is what the built-in facades export).
+        /// metrics, which is what the registries export).
         rank: usize,
-        /// Metric scope tag: `comm.<op>` (per-operation
-        /// communication latency), `bench.rep` (benchmark repetition
-        /// time), or a registry metric name such as
-        /// `served_requests_total`.
+        /// Metric scope tag: the registry metric name, such as
+        /// `fupermod_comm_duration_seconds` or
+        /// `served_requests_total`. Traces written before the
+        /// registry became the only metrics path also carry
+        /// `comm.<op>` and `bench.rep` histograms and `store.*`
+        /// counters.
         scope: String,
         /// Samples recorded (histograms), or the counter value.
         /// `0` for gauges, whose value rides in `sum`.
@@ -1418,7 +1420,9 @@ pub fn replay_into_models(
 pub const HISTOGRAM_BUCKETS: usize = 48;
 
 /// Operation tags with a dedicated per-op communication-latency
-/// histogram in [`Metrics`] (the tags `comm` events use).
+/// histogram in the global telemetry registry
+/// (`fupermod_comm_duration_seconds{op=...}`; the tags `comm` events
+/// use).
 pub const COMM_OPS: [&str; 8] = [
     "send",
     "recv",
@@ -1585,213 +1589,6 @@ impl HistogramSnapshot {
         }
         Some(f64::INFINITY)
     }
-}
-
-/// Process-wide observability counters and latency histograms,
-/// updated by the measurement and partitioning machinery regardless
-/// of the configured sink. The counters are always on (a relaxed
-/// atomic add); the schema-v3 latency histograms are gated behind
-/// [`Metrics::set_histograms_enabled`] so untraced runs pay nothing
-/// beyond one relaxed boolean load.
-#[derive(Debug)]
-pub struct Metrics {
-    kernels_executed: AtomicU64,
-    total_reps: AtomicU64,
-    outliers_rejected: AtomicU64,
-    repartitions: AtomicU64,
-    units_moved: AtomicU64,
-    histograms_enabled: AtomicBool,
-    comm_hists: [LatencyHistogram; COMM_OPS.len()],
-    bench_hist: LatencyHistogram,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A point-in-time copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Kernel measurement sessions (contexts) executed.
-    pub kernels_executed: u64,
-    /// Total benchmark repetitions across all measurements.
-    pub total_reps: u64,
-    /// Samples rejected by MAD outlier filtering.
-    pub outliers_rejected: u64,
-    /// Partitioner invocations that produced a distribution.
-    pub repartitions: u64,
-    /// Computation units that changed owner across all dynamic steps.
-    pub units_moved: u64,
-}
-
-// `[CONST; N]` array-initialisation idiom (see `ATOMIC_ZERO`).
-#[allow(clippy::declare_interior_mutable_const)]
-const HIST_ZERO: LatencyHistogram = LatencyHistogram::new();
-
-impl Metrics {
-    /// A zeroed instance (const-constructible for the process-wide
-    /// static).
-    pub const fn new() -> Self {
-        Self {
-            kernels_executed: AtomicU64::new(0),
-            total_reps: AtomicU64::new(0),
-            outliers_rejected: AtomicU64::new(0),
-            repartitions: AtomicU64::new(0),
-            units_moved: AtomicU64::new(0),
-            histograms_enabled: AtomicBool::new(false),
-            comm_hists: [HIST_ZERO; COMM_OPS.len()],
-            bench_hist: LatencyHistogram::new(),
-        }
-    }
-
-    pub(crate) fn add_kernel(&self) {
-        self.kernels_executed.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_reps(&self, n: u64) {
-        self.total_reps.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_outliers(&self, n: u64) {
-        self.outliers_rejected.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_repartition(&self) {
-        self.repartitions.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn add_units_moved(&self, n: u64) {
-        self.units_moved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads all counters at once.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            kernels_executed: self.kernels_executed.load(Ordering::Relaxed),
-            total_reps: self.total_reps.load(Ordering::Relaxed),
-            outliers_rejected: self.outliers_rejected.load(Ordering::Relaxed),
-            repartitions: self.repartitions.load(Ordering::Relaxed),
-            units_moved: self.units_moved.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Enables or disables the latency histograms. Disabled (the
-    /// default), [`Metrics::record_comm_latency`] and
-    /// [`Metrics::record_bench_rep`] are single-boolean-load no-ops.
-    pub fn set_histograms_enabled(&self, enabled: bool) {
-        self.histograms_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the latency histograms are recording.
-    pub fn histograms_enabled(&self) -> bool {
-        self.histograms_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Records one communication-operation latency into the per-op
-    /// histogram. `op` must be one of [`COMM_OPS`] (unknown tags are
-    /// ignored); a no-op unless histograms are enabled. The sample is
-    /// also offered to the live telemetry registry
-    /// (`fupermod_comm_duration_seconds{op=...}`), which applies its
-    /// own single-relaxed-load gate, so scrapeable runs need no extra
-    /// instrumentation at the call sites.
-    pub fn record_comm_latency(&self, op: &str, seconds: f64) {
-        crate::telemetry::record_comm(op, seconds);
-        if !self.histograms_enabled() {
-            return;
-        }
-        if let Some(i) = COMM_OPS.iter().position(|&o| o == op) {
-            self.comm_hists[i].record(seconds);
-        }
-    }
-
-    /// Records one benchmark repetition time; a no-op unless
-    /// histograms are enabled.
-    pub fn record_bench_rep(&self, seconds: f64) {
-        if !self.histograms_enabled() {
-            return;
-        }
-        self.bench_hist.record(seconds);
-    }
-
-    /// Snapshot of the per-op communication-latency histogram for
-    /// `op` (`None` for tags outside [`COMM_OPS`]).
-    pub fn comm_histogram(&self, op: &str) -> Option<HistogramSnapshot> {
-        COMM_OPS
-            .iter()
-            .position(|&o| o == op)
-            .map(|i| self.comm_hists[i].snapshot())
-    }
-
-    /// Snapshot of the benchmark repetition-time histogram.
-    pub fn bench_histogram(&self) -> HistogramSnapshot {
-        self.bench_hist.snapshot()
-    }
-
-    /// Emits one [`TraceEvent::Metrics`] per non-empty histogram
-    /// (`comm.<op>` scopes in [`COMM_OPS`] order, then `bench.rep`)
-    /// into `sink`, and returns how many events were written.
-    /// Typically called once at the end of a traced run.
-    pub fn export_histogram_events(&self, sink: &dyn TraceSink) -> usize {
-        let mut emitted = 0;
-        for (op, hist) in COMM_OPS.iter().zip(&self.comm_hists) {
-            let snap = hist.snapshot();
-            if snap.count == 0 {
-                continue;
-            }
-            sink.record(&TraceEvent::Metrics {
-                rank: 0,
-                scope: format!("comm.{op}"),
-                count: snap.count,
-                sum: snap.sum_seconds,
-                buckets: snap.buckets,
-                kind: "histogram".to_owned(),
-                labels: String::new(),
-            });
-            emitted += 1;
-        }
-        let snap = self.bench_hist.snapshot();
-        if snap.count > 0 {
-            sink.record(&TraceEvent::Metrics {
-                rank: 0,
-                scope: "bench.rep".to_owned(),
-                count: snap.count,
-                sum: snap.sum_seconds,
-                buckets: snap.buckets,
-                kind: "histogram".to_owned(),
-                labels: String::new(),
-            });
-            emitted += 1;
-        }
-        emitted
-    }
-
-    /// Resets every counter and histogram to zero (tests and
-    /// long-lived processes). The histogram enable flag is left
-    /// untouched.
-    pub fn reset(&self) {
-        self.kernels_executed.store(0, Ordering::Relaxed);
-        self.total_reps.store(0, Ordering::Relaxed);
-        self.outliers_rejected.store(0, Ordering::Relaxed);
-        self.repartitions.store(0, Ordering::Relaxed);
-        self.units_moved.store(0, Ordering::Relaxed);
-        for h in &self.comm_hists {
-            h.reset();
-        }
-        self.bench_hist.reset();
-    }
-
-    /// One-line human-readable summary for process-exit reporting.
-    pub fn summary(&self) -> String {
-        let s = self.snapshot();
-        format!(
-            "fupermod metrics: kernels={} reps={} outliers_rejected={} repartitions={} units_moved={}",
-            s.kernels_executed, s.total_reps, s.outliers_rejected, s.repartitions, s.units_moved
-        )
-    }
-}
-
-/// The process-wide [`Metrics`] instance.
-pub fn metrics() -> &'static Metrics {
-    static METRICS: Metrics = Metrics::new();
-    &METRICS
 }
 
 #[cfg(test)]
@@ -2132,51 +1929,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_histograms_gate_and_export() {
-        let m = Metrics::new();
-        // Disabled by default: recording is a no-op.
-        m.record_comm_latency("send", 1e-6);
-        m.record_bench_rep(1e-3);
-        assert_eq!(m.comm_histogram("send").unwrap().count, 0);
-        assert_eq!(m.bench_histogram().count, 0);
-
-        m.set_histograms_enabled(true);
-        assert!(m.histograms_enabled());
-        m.record_comm_latency("send", 1e-6);
-        m.record_comm_latency("allgatherv", 2e-6);
-        m.record_comm_latency("not-an-op", 3e-6); // ignored
-        m.record_bench_rep(1e-3);
-        assert_eq!(m.comm_histogram("send").unwrap().count, 1);
-        assert_eq!(m.comm_histogram("allgatherv").unwrap().count, 1);
-        assert!(m.comm_histogram("not-an-op").is_none());
-        assert_eq!(m.bench_histogram().count, 1);
-
-        let sink = MemorySink::new();
-        let emitted = m.export_histogram_events(&sink);
-        assert_eq!(emitted, 3); // send, allgatherv, bench.rep
-        let scopes: Vec<String> = sink
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Metrics { scope, .. } => scope.clone(),
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(scopes, ["comm.send", "comm.allgatherv", "bench.rep"]);
-        // Exported events round-trip through both encodings.
-        for e in sink.events() {
-            assert_eq!(TraceEvent::from_jsonl(&e.to_jsonl()).unwrap(), e);
-            assert_eq!(TraceEvent::from_csv_row(&e.to_csv_row()).unwrap(), e);
-        }
-
-        m.reset();
-        assert_eq!(m.comm_histogram("send").unwrap().count, 0);
-        assert_eq!(m.bench_histogram().count, 0);
-        assert!(m.histograms_enabled()); // flag survives reset
-        m.set_histograms_enabled(false);
-    }
-
-    #[test]
     fn reader_rejects_foreign_and_future_traces() {
         assert!(read_jsonl_trace("".as_bytes()).is_err());
         assert!(read_jsonl_trace("{\"hello\":1}\n".as_bytes()).is_err());
@@ -2244,30 +1996,6 @@ mod tests {
         // Rank out of range is an error.
         let mut only: Vec<&mut dyn Model> = vec![&mut m0];
         assert!(replay_into_models(&events, &mut only).is_err());
-    }
-
-    #[test]
-    fn metrics_counts_and_resets() {
-        let m = Metrics::default();
-        m.add_kernel();
-        m.add_reps(10);
-        m.add_outliers(2);
-        m.add_repartition();
-        m.add_units_moved(40);
-        let s = m.snapshot();
-        assert_eq!(
-            (
-                s.kernels_executed,
-                s.total_reps,
-                s.outliers_rejected,
-                s.repartitions,
-                s.units_moved
-            ),
-            (1, 10, 2, 1, 40)
-        );
-        assert!(m.summary().contains("reps=10"));
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

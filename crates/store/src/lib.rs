@@ -32,8 +32,8 @@
 //!
 //! Hit/miss/refresh/eviction counters live in a shared
 //! [`fupermod_core::telemetry::Registry`] on the store; they are
-//! exported through the existing `metrics` trace events
-//! ([`StoreMetrics::export_events`]) and served live by the [`http`]
+//! exported as `metrics` trace events from a registry snapshot
+//! (`RegistrySnapshot::export_trace_events`) and served live by the [`http`]
 //! module (`GET /metrics` Prometheus exposition plus
 //! `/healthz`/`/readyz` probes — `docs/OBSERVABILITY.md` §9).
 
@@ -48,7 +48,7 @@ pub mod store;
 pub use entry::{EntryConfig, IngestOutcome, ModelEntry};
 pub use key::StoreKey;
 pub use plan::{PlanCache, PlanKey};
-pub use store::{ModelStore, StoreConfig, StoreMetrics, StoreMetricsSnapshot};
+pub use store::{ModelStore, StoreConfig, StoreCounters, StoreMetrics};
 
 use std::fmt;
 

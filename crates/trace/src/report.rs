@@ -101,7 +101,9 @@ pub struct FaultStats {
 pub struct HistogramDigest {
     /// Rank the snapshot describes.
     pub rank: usize,
-    /// Scope tag (`comm.<op>` or `bench.rep`).
+    /// Metric name, followed by the series' labels as `{labels}` when
+    /// it has any (`fupermod_comm_duration_seconds{op=bcast}`;
+    /// `comm.<op>` or `bench.rep` in older traces).
     pub scope: String,
     /// Samples recorded.
     pub count: u64,
@@ -243,27 +245,31 @@ impl Report {
                     count,
                     sum,
                     buckets,
-                    ..
+                    kind,
+                    labels,
                 } => {
-                    let snap = HistogramSnapshot::from_parts(count, sum, buckets);
-                    let (mean_s, p50_s, p99_s) = snap
-                        .as_ref()
-                        .map(|s| {
-                            (
-                                s.mean().unwrap_or(0.0),
-                                s.quantile(0.5).unwrap_or(0.0),
-                                s.quantile(0.99).unwrap_or(0.0),
-                            )
-                        })
-                        .unwrap_or((0.0, 0.0, 0.0));
+                    // Counters and gauges have no latency to digest.
+                    // Pre-v4 traces leave `kind` empty; their
+                    // histograms are the events with a full bucket
+                    // vector, which `from_parts` checks.
+                    if !(kind.is_empty() || kind == "histogram") || count == 0 {
+                        continue;
+                    }
+                    let Some(snap) = HistogramSnapshot::from_parts(count, sum, buckets) else {
+                        continue;
+                    };
                     histograms.push(HistogramDigest {
                         rank,
-                        scope,
+                        scope: if labels.is_empty() {
+                            scope
+                        } else {
+                            format!("{scope}{{{labels}}}")
+                        },
                         count,
                         sum_s: sum,
-                        mean_s,
-                        p50_s,
-                        p99_s,
+                        mean_s: snap.mean().unwrap_or(0.0),
+                        p50_s: snap.quantile(0.5).unwrap_or(0.0),
+                        p99_s: snap.quantile(0.99).unwrap_or(0.0),
                     });
                 }
                 TraceEvent::BenchmarkDone { .. } | TraceEvent::ModelUpdate { .. } => {}
@@ -408,16 +414,21 @@ impl Report {
         }
 
         if !self.histograms.is_empty() {
+            let w = self
+                .histograms
+                .iter()
+                .map(|h| h.scope.len())
+                .fold(12, usize::max);
             let _ = writeln!(out, "\nlatency histograms:");
             let _ = writeln!(
                 out,
-                "{:>5} {:<12} {:>8} {:>12} {:>12} {:>12}",
+                "{:>5} {:<w$} {:>8} {:>12} {:>12} {:>12}",
                 "rank", "scope", "count", "mean", "p50", "p99"
             );
             for h in &self.histograms {
                 let _ = writeln!(
                     out,
-                    "{:>5} {:<12} {:>8} {:>12.3e} {:>12.3e} {:>12.3e}",
+                    "{:>5} {:<w$} {:>8} {:>12.3e} {:>12.3e} {:>12.3e}",
                     h.rank, h.scope, h.count, h.mean_s, h.p50_s, h.p99_s
                 );
             }
@@ -708,5 +719,53 @@ mod tests {
         assert!(text.contains("collective critical path"));
         assert!(text.contains("faults:"));
         assert!(text.contains("latency histograms:"));
+    }
+
+    #[test]
+    fn only_nonempty_histograms_are_digested_with_their_labels() {
+        let metric =
+            |scope: &str, count: u64, kind: &str, labels: &str, full: bool| TraceEvent::Metrics {
+                rank: 0,
+                scope: scope.to_owned(),
+                count,
+                sum: count as f64 * 1.5e-6,
+                buckets: if full {
+                    let mut b = vec![0u64; fupermod_core::trace::HISTOGRAM_BUCKETS + 2];
+                    b[11] = count;
+                    b
+                } else {
+                    Vec::new()
+                },
+                kind: kind.to_owned(),
+                labels: labels.to_owned(),
+            };
+        let dur = "fupermod_comm_duration_seconds";
+        let r = build(vec![
+            metric("fupermod_faults_total", 0, "counter", "kind=retry", false),
+            metric("fupermod_repartitions_total", 5, "counter", "", false),
+            metric("store_entries", 0, "gauge", "", false),
+            metric(dur, 0, "histogram", "op=recv", true),
+            metric(dur, 2, "histogram", "op=bcast", true),
+            metric(dur, 3, "histogram", "op=send", true),
+            // v3: no kind, no labels, full bucket vector.
+            metric("comm.send", 4, "", "", true),
+        ]);
+        let rows: Vec<(&str, u64)> = r
+            .histograms
+            .iter()
+            .map(|h| (h.scope.as_str(), h.count))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("fupermod_comm_duration_seconds{op=bcast}", 2),
+                ("fupermod_comm_duration_seconds{op=send}", 3),
+                ("comm.send", 4),
+            ]
+        );
+        assert!(r.histograms.iter().all(|h| h.p50_s > 0.0));
+        // The widened scope column keeps the text table aligned.
+        let text = r.render_text();
+        assert!(text.contains("fupermod_comm_duration_seconds{op=bcast}        2"));
     }
 }

@@ -43,6 +43,25 @@ run ./target/release/fupermod_tracetool report "$TRACE_TMP/merged.jsonl" \
     --json --out "$TRACE_TMP/summary.json"
 run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TRACE_TMP/summary.json"
+# One telemetry path: the report's histograms are the registry's
+# labelled series, with no legacy `comm.<op>` duplicates and no
+# counter/gauge or empty rows.
+echo "==> exp2 report: histograms come from the telemetry registry"
+python3 - "$TRACE_TMP/summary.json" <<'PY'
+import json, sys
+
+hists = json.load(open(sys.argv[1], encoding="utf-8"))["histograms"]
+scopes = [h["scope"] for h in hists]
+if not any(s.startswith("fupermod_comm_duration_seconds{op=") for s in scopes):
+    sys.exit(f"no labelled comm histogram in the report: {scopes}")
+legacy = [s for s in scopes if s.startswith("comm.")]
+if legacy:
+    sys.exit(f"legacy comm scopes in the report: {legacy}")
+empty = [s for s, h in zip(scopes, hists) if h["count"] <= 0]
+if empty:
+    sys.exit(f"empty histogram rows in the report: {empty}")
+print(f"report histograms ok: {len(hists)} rows")
+PY
 run ./target/release/fupermod_tracetool export "$TRACE_FILE" \
     --format chrome --out "$TRACE_TMP/chrome.json"
 # Live-tail parity: following the (already complete) trace until idle

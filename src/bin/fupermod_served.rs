@@ -127,9 +127,6 @@ fn run_serve(args: &HashMap<String, String>) {
         }
     }
     if let Some(sink) = &sink {
-        // Legacy dotted-scope counter events first (stable consumers),
-        // then the full labelled registry snapshot (schema v4).
-        store.metrics().export_events(0, sink.as_ref());
         store.refresh_gauges();
         store.registry().snapshot().export_trace_events(0, sink.as_ref());
     }

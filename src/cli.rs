@@ -13,7 +13,8 @@ use fupermod_core::partition::{
     ConstantPartitioner, EvenPartitioner, GeometricPartitioner, NumericalPartitioner,
     Partitioner,
 };
-use fupermod_core::trace::{metrics, CsvSink, JsonlSink, TraceSink};
+use fupermod_core::telemetry;
+use fupermod_core::trace::{CsvSink, JsonlSink, TraceSink};
 use fupermod_platform::Platform;
 use fupermod_runtime::{AlgorithmPolicy, FaultPlan, RuntimeConfig, SimEngine};
 
@@ -402,8 +403,8 @@ pub fn trace_path_for_rank(
 /// `--trace-format jsonl|csv` (default `jsonl`, or inferred from a
 /// `.csv` extension) — see [`trace_path`]. Returns `None` when no
 /// trace was requested. Opening a sink also enables the process-wide
-/// latency histograms ([`metrics`]), which [`finish_trace`] exports
-/// as `metrics` snapshot events.
+/// telemetry registry ([`telemetry::global`]), which [`finish_trace`]
+/// exports as `metrics` events.
 ///
 /// Exits with status 2 on an unknown format and status 1 when the file
 /// cannot be created.
@@ -449,29 +450,24 @@ pub fn open_trace_sink_for_rank(
             std::process::exit(2);
         }
     };
-    metrics().set_histograms_enabled(true);
-    fupermod_core::telemetry::global().set_enabled(true);
+    telemetry::global().set_enabled(true);
     Some(sink)
 }
 
-/// Exports the latency-histogram snapshots and the process-wide
-/// telemetry registry ([`fupermod_core::telemetry::global`]) as
-/// `metrics` events, then flushes the optional trace sink, exiting
-/// with status 1 on a deferred write error, and prints the
-/// process-wide metrics summary to stderr. Call once, right before
-/// the binary exits.
+/// For a traced run: exports the process-wide telemetry registry
+/// ([`telemetry::global`]) as `metrics` events, flushes the trace sink
+/// (exiting with status 1 on a deferred write error), and prints the
+/// [`telemetry::summary`] of the same snapshot to stderr. Does nothing
+/// for an untraced run. Call once, right before the binary exits.
 pub fn finish_trace(sink: Option<&Arc<dyn TraceSink>>) {
-    if let Some(sink) = sink {
-        metrics().export_histogram_events(sink.as_ref());
-        fupermod_core::telemetry::global()
-            .snapshot()
-            .export_trace_events(0, sink.as_ref());
-        if let Err(e) = sink.flush() {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
+    let Some(sink) = sink else { return };
+    let snapshot = telemetry::global().snapshot();
+    snapshot.export_trace_events(0, sink.as_ref());
+    if let Err(e) = sink.flush() {
+        eprintln!("trace write failed: {e}");
+        std::process::exit(1);
     }
-    eprintln!("{}", metrics().summary());
+    eprintln!("{}", telemetry::summary(&snapshot));
 }
 
 /// Builds the model-store configuration for `fupermod_served` from

@@ -8,7 +8,7 @@ use std::process::Command;
 
 use fupermod::core::model::{Model, PiecewiseModel};
 use fupermod::core::trace::{
-    read_jsonl_trace, replay_into_models, TraceEvent, CSV_HEADER, SCHEMA_VERSION,
+    read_jsonl_trace, replay_into_models, TraceEvent, COMM_OPS, CSV_HEADER, SCHEMA_VERSION,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -137,7 +137,7 @@ fn simulate_csv_trace_has_versioned_header_and_stable_columns() {
                 "model_update",
                 "partition_step",
                 "dynamic_converged",
-                // Schema v3: histogram snapshots exported at exit.
+                // Telemetry registry series exported at exit.
                 "metrics",
             ]
             .contains(&event),
@@ -165,4 +165,89 @@ fn trace_extension_infers_csv_format() {
         text.starts_with("# fupermod-trace schema="),
         "a .csv path should produce the CSV encoding"
     );
+}
+
+#[test]
+fn simulate_trace_writes_each_metric_sample_once() {
+    let dir = temp_dir("once");
+    let path = dir.join("balance.trace.jsonl");
+    let out = simulate(&[
+        "--app",
+        "balance",
+        "--runtime",
+        "sim",
+        "--size",
+        "20000",
+        "--trace",
+        path.to_str().unwrap(),
+    ]);
+    let file = std::fs::File::open(&path).unwrap();
+    let (_, events) = read_jsonl_trace(BufReader::new(file)).expect("reader rejected trace");
+    let metrics: Vec<(&str, &str, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Metrics {
+                scope,
+                labels,
+                count,
+                ..
+            } => Some((scope.as_str(), labels.as_str(), *count)),
+            _ => None,
+        })
+        .collect();
+
+    // The registry is the only metrics path: no legacy scopes.
+    for (scope, _, _) in &metrics {
+        assert!(
+            !scope.starts_with("comm.") && *scope != "bench.rep",
+            "legacy metrics scope {scope} in a new trace"
+        );
+    }
+    // Each comm op's histogram is written exactly once.
+    for op in COMM_OPS {
+        let label = format!("op={op}");
+        let n = metrics
+            .iter()
+            .filter(|(s, l, _)| *s == "fupermod_comm_duration_seconds" && *l == label)
+            .count();
+        assert_eq!(n, 1, "{op}: {n} fupermod_comm_duration_seconds events");
+    }
+    assert!(
+        metrics
+            .iter()
+            .any(|(s, _, c)| *s == "fupermod_comm_duration_seconds" && *c > 0),
+        "a sim balance run communicates"
+    );
+
+    // The stderr summary reports the same counters the trace carries.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("fupermod metrics: "))
+        .unwrap_or_else(|| panic!("missing metrics summary in stderr: {stderr}"));
+    let fields: Vec<(&str, u64)> = line
+        .split(' ')
+        .map(|kv| {
+            let (k, v) = kv.split_once('=').expect("key=value");
+            (k, v.parse().expect("integer value"))
+        })
+        .collect();
+    let series = [
+        ("kernels", "fupermod_kernel_sessions_total"),
+        ("reps", "fupermod_bench_reps_total"),
+        ("outliers_rejected", "fupermod_outliers_rejected_total"),
+        ("repartitions", "fupermod_repartitions_total"),
+        ("units_moved", "fupermod_units_moved_total"),
+    ];
+    assert_eq!(fields.len(), series.len(), "summary fields: {line}");
+    for ((key, value), (want_key, name)) in fields.iter().zip(series) {
+        assert_eq!(*key, want_key);
+        let traced: Vec<u64> = metrics
+            .iter()
+            .filter(|(s, _, _)| *s == name)
+            .map(|(_, _, c)| *c)
+            .collect();
+        assert_eq!(traced, [*value], "{name} in the trace vs {key}= on stderr");
+    }
+    assert!(fields[0].1 > 0, "the balance run measured kernels");
 }
