@@ -79,6 +79,7 @@ pub mod benchmark;
 pub mod builder;
 pub mod dynamic;
 pub mod hierarchy;
+pub mod json;
 pub mod kernel;
 pub mod matrix2d;
 pub mod model;

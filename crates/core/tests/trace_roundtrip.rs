@@ -237,3 +237,18 @@ fn reader_accepts_older_schemas_with_v3_defaults() {
         other => panic!("wrong variant: {other:?}"),
     }
 }
+
+#[test]
+fn event_lines_are_exactly_one_json_object() {
+    let line = r#"{"event":"dynamic_converged","steps":3,"imbalance":0.01}"#;
+    assert!(TraceEvent::from_jsonl(line).is_ok());
+    assert!(TraceEvent::from_jsonl(&format!("  {line}\r")).is_ok());
+    for bad in [
+        format!("{line} trailing garbage"),
+        format!("{line}}}}}}}"),
+        format!("{line}{line}"),
+        "[1,2]".to_owned(),
+    ] {
+        assert!(TraceEvent::from_jsonl(&bad).is_err(), "accepted: {bad}");
+    }
+}

@@ -6,7 +6,7 @@
 //! matching operations (`every`-th match), not on random draws, so a
 //! faulty run replays identically. Plans are written as JSON (schema
 //! in `docs/RUNTIME.md`) and parsed by [`FaultPlan::from_json`] with
-//! an std-only parser — the build environment has no serde_json.
+//! the workspace's JSON codec, [`fupermod_core::json`].
 //!
 //! ```
 //! use fupermod_runtime::FaultPlan;
@@ -18,6 +18,8 @@
 //! assert_eq!(plan.stragglers.len(), 1);
 //! assert!((plan.straggler_factor(1) - 4.0).abs() < 1e-12);
 //! ```
+
+use fupermod_core::json;
 
 use crate::error::RuntimeError;
 
@@ -145,7 +147,7 @@ impl FaultPlan {
     /// Returns [`RuntimeError::InvalidPlan`] on malformed JSON,
     /// unknown keys, or out-of-range values.
     pub fn from_json(text: &str) -> Result<Self, RuntimeError> {
-        let value = json::parse(text).map_err(RuntimeError::InvalidPlan)?;
+        let value = json::parse(text).map_err(|e| RuntimeError::InvalidPlan(e.to_string()))?;
         let obj = value
             .as_object()
             .ok_or_else(|| RuntimeError::InvalidPlan("top level must be an object".to_owned()))?;
@@ -336,188 +338,6 @@ fn parse_death(v: &json::Value) -> Result<DeathRule, RuntimeError> {
     })
 }
 
-/// Minimal recursive-descent JSON parser (std-only; offline build).
-/// Supports objects, arrays, numbers, strings (escape-free), `true`,
-/// `false`, `null` — the full grammar a fault plan uses.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// A string (escape sequences are rejected).
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, msg: &str) -> String {
-            format!("bad JSON at byte {}: {msg}", self.pos)
-        }
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-        fn eat(&mut self, want: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.peek() == Some(want) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", want as char)))
-            }
-        }
-        fn literal(&mut self, word: &[u8], v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(self.err("unknown literal"))
-            }
-        }
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                match b {
-                    b'"' => {
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?
-                            .to_owned();
-                        self.pos += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => return Err(self.err("string escapes are not supported")),
-                    _ => self.pos += 1,
-                }
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| self.err("malformed number"))
-        }
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut obj = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b'}') {
-                        self.pos += 1;
-                        return Ok(Value::Obj(obj));
-                    }
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.eat(b':')?;
-                        let v = self.value()?;
-                        obj.push((key, v));
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b'}') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(self.err("expected ',' or '}'")),
-                        }
-                    }
-                    Ok(Value::Obj(obj))
-                }
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut arr = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::Arr(arr));
-                    }
-                    loop {
-                        arr.push(self.value()?);
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(self.err("expected ',' or ']'")),
-                        }
-                    }
-                    Ok(Value::Arr(arr))
-                }
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal(b"true", Value::Bool(true)),
-                Some(b'f') => self.literal(b"false", Value::Bool(false)),
-                Some(b'n') => self.literal(b"null", Value::Null),
-                _ => Ok(Value::Num(self.number()?)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,6 +384,12 @@ mod tests {
     }
 
     #[test]
+    fn plan_strings_accept_escapes() {
+        let plan = FaultPlan::from_json(r#"{"dead\u006cine": 2.0}"#).unwrap();
+        assert_eq!(plan.deadline, Some(2.0));
+    }
+
+    #[test]
     fn bad_plans_are_rejected() {
         for text in [
             "",
@@ -589,17 +415,5 @@ mod tests {
                 "accepted: {text}"
             );
         }
-    }
-
-    #[test]
-    fn json_parser_handles_nesting_and_literals() {
-        let v = json::parse(r#"{"a": [true, false, null, "x", {"b": 1e-3}]}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        let arr = obj[0].1.as_array().unwrap();
-        assert_eq!(arr.len(), 5);
-        assert_eq!(arr[0], json::Value::Bool(true));
-        assert_eq!(arr[2], json::Value::Null);
-        let inner = arr[4].as_object().unwrap();
-        assert!((inner[0].1.as_f64().unwrap() - 1e-3).abs() < 1e-15);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! One request object per line in, one response object per line out,
 //! over a plain TCP stream. The vocabulary is deliberately flat —
-//! scalar fields plus arrays of scalars — so the hand-rolled parser
-//! below (the build environment has no serde_json) stays small and
-//! auditable. Floats are emitted with
+//! scalar fields plus arrays of scalars: [`json::parse_flat_object`]
+//! reads a line with the workspace's JSON codec
+//! ([`fupermod_core::json`]) and rejects anything nested deeper.
+//! Request numbers must be finite. Floats are emitted with
 //! [`fupermod_core::trace::fmt_float`], the repo-wide shortest
 //! round-trip encoding, so a value survives
 //! serve → parse → re-serve bit-exactly.
@@ -22,6 +23,7 @@
 //! carries `"ok": true|false`; failures carry `"error"` instead of
 //! result fields.
 
+use fupermod_core::json::quote;
 use fupermod_core::model::Refresh;
 use fupermod_core::partition::{
     ConstantPartitioner, EvenPartitioner, GeometricPartitioner, NumericalPartitioner,
@@ -110,7 +112,9 @@ pub fn parse_request(line: &str) -> Result<Request, StoreError> {
             point: Point {
                 d: json::get_u64(&fields, "d")?,
                 t: json::get_f64(&fields, "t")?,
-                reps: json::get_u64(&fields, "reps")? as u32,
+                reps: u32::try_from(json::get_u64(&fields, "reps")?).map_err(|_| {
+                    StoreError::Protocol("field 'reps' must fit in 32 bits".to_owned())
+                })?,
                 ci: json::get_f64(&fields, "ci")?,
             },
         }),
@@ -176,8 +180,9 @@ fn outcome_tag(o: IngestOutcome) -> &'static str {
     }
 }
 
-fn error_line(e: &StoreError) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json::quote(&e.to_string()))
+/// The response line for a failed request.
+pub(crate) fn error_line(e: &StoreError) -> String {
+    format!("{{\"ok\":false,\"error\":{}}}", quote(&e.to_string()))
 }
 
 fn num_array(values: impl Iterator<Item = String>) -> String {
@@ -283,11 +288,13 @@ fn try_handle(store: &ModelStore, request: &Request) -> Result<String, StoreErro
     }
 }
 
-/// Minimal flat-JSON support for the protocol: objects whose values
-/// are strings, numbers, booleans, `null`, or arrays of strings /
-/// numbers. (The trace module's flat parser is private and only
-/// handles numeric arrays, so the protocol carries its own.)
+/// The protocol's flat vocabulary over [`fupermod_core::json`]: an
+/// object whose values are scalars or arrays of scalars.
 pub mod json {
+    use fupermod_core::json;
+
+    use crate::StoreError;
+
     /// A parsed value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -310,218 +317,49 @@ pub mod json {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first syntax error.
+    /// A human-readable description of the first syntax error, or of
+    /// a value outside the flat vocabulary.
     pub fn parse_flat_object(s: &str) -> Result<Vec<(String, Value)>, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
+        let json::Value::Obj(members) = json::parse(s).map_err(|e| e.to_string())? else {
+            return Err("expected a JSON object".to_owned());
         };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.skip_ws();
-                let key = p.parse_string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                let value = p.parse_value()?;
-                fields.push((key, value));
-                p.skip_ws();
-                match p.next() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing bytes after object".to_owned());
-        }
-        Ok(fields)
+        members
+            .into_iter()
+            .map(|(key, v)| match flatten(v) {
+                Some(v) => Ok((key, v)),
+                None => Err(format!(
+                    "field '{key}' must be a scalar or an array of strings or numbers"
+                )),
+            })
+            .collect()
     }
 
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
+    fn flatten(v: json::Value) -> Option<Value> {
+        Some(match v {
+            json::Value::Str(s) => Value::Str(s),
+            json::Value::Num(x) => Value::Num(x),
+            json::Value::Bool(b) => Value::Bool(b),
+            json::Value::Null => Value::Null,
+            json::Value::Arr(items) if matches!(items.first(), Some(json::Value::Str(_))) => {
+                Value::StrArray(
+                    items
+                        .into_iter()
+                        .map(|x| match x {
+                            json::Value::Str(s) => Some(s),
+                            _ => None,
+                        })
+                        .collect::<Option<_>>()?,
+                )
+            }
+            json::Value::Arr(items) => Value::NumArray(
+                items
+                    .iter()
+                    .map(json::Value::as_f64)
+                    .collect::<Option<_>>()?,
+            ),
+            json::Value::Obj(_) => return None,
+        })
     }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-        fn next(&mut self) -> Option<u8> {
-            let b = self.peek()?;
-            self.pos += 1;
-            Some(b)
-        }
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-                self.pos += 1;
-            }
-        }
-        fn expect(&mut self, want: u8) -> Result<(), String> {
-            match self.next() {
-                Some(b) if b == want => Ok(()),
-                other => Err(format!("expected {:?}, got {other:?}", want as char)),
-            }
-        }
-
-        fn parse_string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.next() {
-                    None => return Err("unterminated string".to_owned()),
-                    Some(b'"') => return Ok(out),
-                    Some(b'\\') => match self.next() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .next()
-                                    .and_then(|b| (b as char).to_digit(16))
-                                    .ok_or("bad \\u escape")?;
-                                code = code * 16 + d;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or("surrogate \\u escapes unsupported")?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some(b) if b < 0x20 => {
-                        return Err("unescaped control character in string".to_owned())
-                    }
-                    Some(b) => {
-                        // Re-assemble UTF-8 multibyte sequences verbatim.
-                        let start = self.pos - 1;
-                        let len = utf8_len(b)?;
-                        if start + len > self.bytes.len() {
-                            return Err("truncated UTF-8 sequence".to_owned());
-                        }
-                        self.pos = start + len;
-                        let chunk = std::str::from_utf8(&self.bytes[start..start + len])
-                            .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                        out.push_str(chunk);
-                    }
-                }
-            }
-        }
-
-        fn parse_number(&mut self) -> Result<f64, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| "invalid number".to_owned())
-        }
-
-        fn parse_value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'[') => self.parse_array(),
-                Some(_) => Ok(Value::Num(self.parse_number()?)),
-                None => Err("expected value, got end of input".to_owned()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("expected literal '{word}'"))
-            }
-        }
-
-        fn parse_array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::NumArray(Vec::new()));
-            }
-            if self.peek() == Some(b'"') {
-                let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_string()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Value::StrArray(items)),
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-            }
-            let mut items = Vec::new();
-            loop {
-                self.skip_ws();
-                items.push(self.parse_number()?);
-                self.skip_ws();
-                match self.next() {
-                    Some(b',') => continue,
-                    Some(b']') => return Ok(Value::NumArray(items)),
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> Result<usize, String> {
-        match first {
-            0x00..=0x7f => Ok(1),
-            0xc0..=0xdf => Ok(2),
-            0xe0..=0xef => Ok(3),
-            0xf0..=0xf7 => Ok(4),
-            _ => Err("invalid UTF-8 lead byte".to_owned()),
-        }
-    }
-
-    /// Renders a JSON string literal (quotes + escapes).
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    use crate::StoreError;
 
     fn find<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, StoreError> {
         fields
@@ -549,12 +387,13 @@ pub mod json {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Protocol`] when missing or not a number.
+    /// [`StoreError::Protocol`] when missing, not a number, or not
+    /// finite.
     pub fn get_f64(fields: &[(String, Value)], key: &str) -> Result<f64, StoreError> {
         match find(fields, key)? {
-            Value::Num(v) => Ok(*v),
+            Value::Num(v) if v.is_finite() => Ok(*v),
             other => Err(StoreError::Protocol(format!(
-                "field '{key}' must be a number, got {other:?}"
+                "field '{key}' must be a finite number, got {other:?}"
             ))),
         }
     }
@@ -564,10 +403,10 @@ pub mod json {
     /// # Errors
     ///
     /// [`StoreError::Protocol`] when missing, non-numeric, negative,
-    /// or not integral.
+    /// not integral, or at least 2^64.
     pub fn get_u64(fields: &[(String, Value)], key: &str) -> Result<u64, StoreError> {
         let v = get_f64(fields, key)?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
             return Err(StoreError::Protocol(format!(
                 "field '{key}' must be a non-negative integer, got {v}"
             )));
@@ -641,11 +480,21 @@ mod tests {
         assert!(parse_request(r#"{"op":"ingest","fingerprint":"f"}"#).is_err());
         assert!(parse_request(r#"{"op":"ingest","fingerprint":1,"kernel":"k","config":"c","d":1,"t":1.0}"#).is_err());
         assert!(parse_request(r#"{"op":"stats"} trailing"#).is_err());
+        let point = |field: &str| {
+            parse_request(&format!(
+                r#"{{"op":"ingest_point","fingerprint":"f","kernel":"k","config":"c",{field}}}"#
+            ))
+        };
+        assert!(point(r#""d":1,"t":1.0,"reps":4294967295,"ci":0.0"#).is_ok());
+        assert!(point(r#""d":1,"t":1.0,"reps":4294967301,"ci":0.0"#).is_err());
+        assert!(point(r#""d":18446744073709551616,"t":1.0,"reps":1,"ci":0.0"#).is_err());
+        assert!(point(r#""d":1,"t":1.0,"reps":1,"ci":1e400"#).is_err());
+        assert!(point(r#""d":1,"t":-1e9999,"reps":1,"ci":0.0"#).is_err());
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let quoted = json::quote("a\"b\\c\nd\te\u{1}f");
+        let quoted = quote("a\"b\\c\nd\te\u{1}f");
         let line = format!("{{\"op\":\"lookup\",\"fingerprint\":{quoted},\"kernel\":\"k\",\"config\":\"c\"}}");
         match parse_request(&line).unwrap() {
             Request::Lookup { key } => assert_eq!(key.fingerprint, "a\"b\\c\nd\te\u{1}f"),

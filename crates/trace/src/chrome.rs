@@ -26,9 +26,9 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
+use fupermod_core::json::quote;
 use fupermod_core::trace::TraceEvent;
 
-use crate::json::escape;
 use crate::merge::StampedEvent;
 
 /// Microseconds per second (trace-event timestamps are µs).
@@ -105,9 +105,9 @@ impl<W: Write> Emitter<'_, W> {
 
     fn slice(&mut self, name: &str, cat: &str, rank: usize, ts: f64, dur: f64) -> io::Result<()> {
         self.record(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
+            "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
              \"pid\":0,\"tid\":{rank}}}",
-            escape(name),
+            quote(name),
             ts * US,
             dur * US
         ))
@@ -115,9 +115,9 @@ impl<W: Write> Emitter<'_, W> {
 
     fn instant(&mut self, name: &str, cat: &str, rank: usize, ts: f64) -> io::Result<()> {
         self.record(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",\
+            "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",\
              \"pid\":0,\"tid\":{rank}}}",
-            escape(name),
+            quote(name),
             ts * US
         ))
     }
@@ -234,8 +234,8 @@ fn sane(seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::merge::merge_events;
+    use fupermod_core::json::{self, Value};
 
     fn comm(rank: usize, op: &str, secs: f64, lamport: u64, gen: u64) -> TraceEvent {
         TraceEvent::Comm {
@@ -251,14 +251,14 @@ mod tests {
         }
     }
 
-    fn export(events: Vec<TraceEvent>) -> Json {
+    fn export(events: Vec<TraceEvent>) -> Value {
         let merged = merge_events(vec![events]);
         let mut buf = Vec::new();
         export_chrome(merged, &mut buf).unwrap();
-        Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap()
+        json::parse(std::str::from_utf8(&buf).unwrap()).unwrap()
     }
 
-    fn slices(doc: &Json) -> Vec<&Json> {
+    fn slices(doc: &Value) -> Vec<&Value> {
         doc.get("traceEvents")
             .unwrap()
             .as_array()
@@ -276,7 +276,7 @@ mod tests {
         ]);
         let sl = slices(&doc);
         assert_eq!(sl.len(), 2);
-        let end = |s: &Json| {
+        let end = |s: &Value| {
             s.get("ts").unwrap().as_f64().unwrap() + s.get("dur").unwrap().as_f64().unwrap()
         };
         assert!((end(sl[0]) - end(sl[1])).abs() < 1e-6);
@@ -301,7 +301,7 @@ mod tests {
             comm(1, "barrier", 1e-6, 2, 0),
             comm(2, "barrier", 1e-6, 2, 0),
         ]);
-        let meta: Vec<&Json> = doc
+        let meta: Vec<&Value> = doc
             .get("traceEvents")
             .unwrap()
             .as_array()
@@ -362,7 +362,7 @@ mod tests {
                 units_moved: 1,
             },
         ]);
-        let instants: Vec<&Json> = doc
+        let instants: Vec<&Value> = doc
             .get("traceEvents")
             .unwrap()
             .as_array()

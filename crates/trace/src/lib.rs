@@ -22,8 +22,8 @@
 //!   causal order the batch merge produces, printed as the files
 //!   grow, with rolling per-op latency quantiles (torn-write-safe;
 //!   picks up files that appear late in a `--trace-dir`).
-//! * [`json`] / [`schema`] — a std-only JSON parser and a small
-//!   JSON-Schema-subset validator, enough to check tracetool output
+//! * [`schema`] — a small JSON-Schema-subset validator over
+//!   [`fupermod_core::json`] values, enough to check tracetool output
 //!   against committed schemas in an offline build environment.
 //!
 //! The `fupermod_tracetool` binary (in the facade crate) fronts all
@@ -31,14 +31,12 @@
 //! subcommands.
 
 pub mod chrome;
-pub mod json;
 pub mod merge;
 pub mod report;
 pub mod schema;
 pub mod tail;
 
 pub use chrome::export_chrome;
-pub use json::Json;
 pub use merge::{event_rank, merge_events, Merge, StampedEvent};
 pub use report::Report;
 pub use schema::validate;

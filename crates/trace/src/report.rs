@@ -26,9 +26,9 @@
 
 use std::collections::BTreeMap;
 
+use fupermod_core::json::quote;
 use fupermod_core::trace::{fmt_float, HistogramSnapshot, TraceEvent};
 
-use crate::json::escape;
 use crate::merge::StampedEvent;
 
 /// Whether a `comm` op tag names a collective (participates in
@@ -473,10 +473,10 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"op\":\"{}\",\"algorithm\":\"{}\",\"count\":{},\"rounds_total\":{},\
+                "{{\"op\":{},\"algorithm\":{},\"count\":{},\"rounds_total\":{},\
                  \"critical_s\":{},\"wait_s\":{}}}",
-                escape(&c.op),
-                escape(&c.algorithm),
+                quote(&c.op),
+                quote(&c.algorithm),
                 c.count,
                 c.rounds_total,
                 fmt_float(c.critical_s),
@@ -524,8 +524,8 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"kind\":\"{}\",\"count\":{},\"seconds\":{},\"max_attempt\":{}}}",
-                escape(&f.kind),
+                "{{\"kind\":{},\"count\":{},\"seconds\":{},\"max_attempt\":{}}}",
+                quote(&f.kind),
                 f.count,
                 fmt_float(f.seconds),
                 f.max_attempt
@@ -540,10 +540,10 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"rank\":{},\"scope\":\"{}\",\"count\":{},\"sum_s\":{},\"mean_s\":{},\
+                "{{\"rank\":{},\"scope\":{},\"count\":{},\"sum_s\":{},\"mean_s\":{},\
                  \"p50_s\":{},\"p99_s\":{}}}",
                 h.rank,
-                escape(&h.scope),
+                quote(&h.scope),
                 h.count,
                 fmt_float(h.sum_s),
                 fmt_float(h.mean_s),
@@ -579,8 +579,8 @@ fn join_dist(dist: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::merge::merge_events;
+    use fupermod_core::json;
 
     fn comm(rank: usize, op: &str, secs: f64, alg: &str, lamport: u64, gen: u64) -> TraceEvent {
         TraceEvent::Comm {
@@ -661,7 +661,7 @@ mod tests {
         assert_eq!(join_dist(&r.iterations[0].dist), "7;3");
         assert_eq!(fmt_float(r.iterations[0].imbalance), "0.25");
         assert_eq!(r.converged, Some((1, 0.01)));
-        let json = Json::parse(&r.render_json()).unwrap();
+        let json = json::parse(&r.render_json()).unwrap();
         let it = &json.get("iterations").unwrap().as_array().unwrap()[0];
         assert_eq!(it.get("dist").unwrap().as_str(), Some("7;3"));
         assert_eq!(it.get("imbalance").unwrap().as_f64(), Some(0.25));
@@ -693,7 +693,7 @@ mod tests {
                 labels: String::new(),
             },
         ]);
-        let json = Json::parse(&r.render_json()).unwrap();
+        let json = json::parse(&r.render_json()).unwrap();
         for key in [
             "tool",
             "schema",

@@ -13,7 +13,7 @@
 //! annotations), so the committed schema files stay forward-portable
 //! to real validators.
 
-use crate::json::Json;
+use fupermod_core::json::Value;
 
 /// Validates `value` against `schema`.
 ///
@@ -21,7 +21,7 @@ use crate::json::Json;
 ///
 /// Returns every violation found, as `"<path>: <message>"` strings
 /// (path `$` is the document root).
-pub fn validate(schema: &Json, value: &Json) -> Result<(), Vec<String>> {
+pub fn validate(schema: &Value, value: &Value) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
     check(schema, value, "$", &mut errors);
     if errors.is_empty() {
@@ -31,10 +31,10 @@ pub fn validate(schema: &Json, value: &Json) -> Result<(), Vec<String>> {
     }
 }
 
-fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
-    let Json::Obj(_) = schema else {
+fn check(schema: &Value, value: &Value, path: &str, errors: &mut Vec<String>) {
+    let Value::Obj(_) = schema else {
         // `true` means "anything"; anything else is an authoring bug.
-        if !matches!(schema, Json::Bool(true)) {
+        if !matches!(schema, Value::Bool(true)) {
             errors.push(format!("{path}: schema is not an object"));
         }
         return;
@@ -51,23 +51,23 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
         }
     }
 
-    if let Some(Json::Arr(allowed)) = schema.get("enum") {
+    if let Some(Value::Arr(allowed)) = schema.get("enum") {
         if !allowed.iter().any(|a| a == value) {
             errors.push(format!("{path}: value not in enum"));
         }
     }
 
-    if let Json::Obj(members) = value {
-        if let Some(Json::Arr(required)) = schema.get("required") {
+    if let Value::Obj(members) = value {
+        if let Some(Value::Arr(required)) = schema.get("required") {
             for r in required {
-                if let Json::Str(key) = r {
+                if let Value::Str(key) = r {
                     if value.get(key).is_none() {
                         errors.push(format!("{path}: missing required member \"{key}\""));
                     }
                 }
             }
         }
-        let props = schema.get("properties").and_then(Json::as_object);
+        let props = schema.get("properties").and_then(Value::as_object);
         if let Some(props) = props {
             for (key, sub) in props {
                 if let Some(v) = value.get(key) {
@@ -75,7 +75,7 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
                 }
             }
         }
-        if let Some(Json::Bool(false)) = schema.get("additionalProperties") {
+        if let Some(Value::Bool(false)) = schema.get("additionalProperties") {
             for (key, _) in members {
                 let known = props.is_some_and(|p| p.iter().any(|(k, _)| k == key));
                 if !known {
@@ -85,8 +85,8 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
         }
     }
 
-    if let Json::Arr(items) = value {
-        if let Some(Json::Num(min)) = schema.get("minItems") {
+    if let Value::Arr(items) = value {
+        if let Some(Value::Num(min)) = schema.get("minItems") {
             if (items.len() as f64) < *min {
                 errors.push(format!(
                     "{path}: {} items, expected at least {min}",
@@ -103,37 +103,37 @@ fn check(schema: &Json, value: &Json, path: &str, errors: &mut Vec<String>) {
 }
 
 /// Whether `value` matches a `type` keyword (string or array form).
-fn type_matches(ty: &Json, value: &Json) -> bool {
+fn type_matches(ty: &Value, value: &Value) -> bool {
     match ty {
-        Json::Str(name) => one_type_matches(name, value),
-        Json::Arr(names) => names.iter().any(|n| match n {
-            Json::Str(name) => one_type_matches(name, value),
+        Value::Str(name) => one_type_matches(name, value),
+        Value::Arr(names) => names.iter().any(|n| match n {
+            Value::Str(name) => one_type_matches(name, value),
             _ => false,
         }),
         _ => false,
     }
 }
 
-fn one_type_matches(name: &str, value: &Json) -> bool {
+fn one_type_matches(name: &str, value: &Value) -> bool {
     match name {
-        "null" => matches!(value, Json::Null),
-        "boolean" => matches!(value, Json::Bool(_)),
-        "number" => matches!(value, Json::Num(_)),
-        "integer" => matches!(value, Json::Num(x) if x.is_finite() && x.fract() == 0.0),
-        "string" => matches!(value, Json::Str(_)),
-        "array" => matches!(value, Json::Arr(_)),
-        "object" => matches!(value, Json::Obj(_)),
+        "null" => matches!(value, Value::Null),
+        "boolean" => matches!(value, Value::Bool(_)),
+        "number" => matches!(value, Value::Num(_)),
+        "integer" => matches!(value, Value::Num(x) if x.is_finite() && x.fract() == 0.0),
+        "string" => matches!(value, Value::Str(_)),
+        "array" => matches!(value, Value::Arr(_)),
+        "object" => matches!(value, Value::Obj(_)),
         _ => false,
     }
 }
 
 /// Human rendering of a `type` keyword for messages.
-fn type_names(ty: &Json) -> String {
+fn type_names(ty: &Value) -> String {
     match ty {
-        Json::Str(name) => name.clone(),
-        Json::Arr(names) => names
+        Value::Str(name) => name.clone(),
+        Value::Arr(names) => names
             .iter()
-            .filter_map(Json::as_str)
+            .filter_map(Value::as_str)
             .collect::<Vec<_>>()
             .join("|"),
         _ => "?".to_owned(),
@@ -144,8 +144,8 @@ fn type_names(ty: &Json) -> String {
 mod tests {
     use super::*;
 
-    fn s(text: &str) -> Json {
-        Json::parse(text).unwrap()
+    fn s(text: &str) -> Value {
+        fupermod_core::json::parse(text).unwrap()
     }
 
     #[test]

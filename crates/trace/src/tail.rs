@@ -41,7 +41,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use fupermod_core::trace::{LatencyHistogram, TraceEvent, SCHEMA_VERSION};
+use fupermod_core::trace::{parse_jsonl_header, LatencyHistogram, TraceEvent, SCHEMA_VERSION};
 use fupermod_core::CoreError;
 
 use crate::merge::{Stamper, StampedEvent};
@@ -159,18 +159,7 @@ impl Follower {
                 "not a JSONL trace header (tail follows JSONL traces only)",
             ));
         }
-        if !line.contains("\"trace\":\"fupermod\"") {
-            return Err(self.err("not a fupermod trace header"));
-        }
-        let schema: u32 = line
-            .split("\"schema\":")
-            .nth(1)
-            .and_then(|rest| {
-                let digits: String =
-                    rest.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse().ok()
-            })
-            .ok_or_else(|| self.err("trace header missing schema version"))?;
+        let schema = parse_jsonl_header(line).map_err(|e| self.err(&e.to_string()))?;
         if schema > SCHEMA_VERSION {
             return Err(self.err(&format!(
                 "trace schema v{schema} is newer than this tool (v{SCHEMA_VERSION})"

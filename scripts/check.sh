@@ -43,6 +43,19 @@ run ./target/release/fupermod_tracetool report "$TRACE_TMP/merged.jsonl" \
     --json --out "$TRACE_TMP/summary.json"
 run ./target/release/fupermod_tracetool validate \
     --schema scripts/tracetool_schema.json "$TRACE_TMP/summary.json"
+# Hostile-input gate: JSON nested deeper than the codec's depth cap
+# must be a validation error (exit 1 with a message), not a
+# stack-overflow abort.
+head -c 200000 /dev/zero | tr '\0' '[' > "$TRACE_TMP/deep.json"
+echo "==> tracetool validate rejects a 200000-deep document"
+DEEP_CODE=0
+./target/release/fupermod_tracetool validate \
+    --schema scripts/tracetool_schema.json "$TRACE_TMP/deep.json" \
+    2> "$TRACE_TMP/deep.err" || DEEP_CODE=$?
+if [ "$DEEP_CODE" -ne 1 ] || ! grep -q 'bad JSON' "$TRACE_TMP/deep.err"; then
+    echo "deep document: exit $DEEP_CODE, stderr: $(cat "$TRACE_TMP/deep.err")" >&2
+    exit 1
+fi
 # One telemetry path: the report's histograms are the registry's
 # labelled series, with no legacy `comm.<op>` duplicates and no
 # counter/gauge or empty rows.

@@ -49,6 +49,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use fupermod::cli;
+use fupermod::core::json::quote;
 use fupermod::core::model::io;
 use fupermod::core::trace::fmt_float;
 use fupermod::store::http::{http_get, serve_http};
@@ -225,9 +226,9 @@ fn required<'a>(args: &'a HashMap<String, String>, key: &str) -> &'a str {
 fn key_fields(args: &HashMap<String, String>, fingerprint: &str) -> String {
     format!(
         "\"fingerprint\":{},\"kernel\":{},\"config\":{}",
-        json::quote(fingerprint),
-        json::quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        json::quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(fingerprint),
+        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
+        quote(args.get("config").map(String::as_str).unwrap_or("default")),
     )
 }
 
@@ -279,13 +280,13 @@ fn run_partition(client: &mut Client, args: &HashMap<String, String>) {
         .get("algorithm")
         .map(String::as_str)
         .unwrap_or("geometric");
-    let quoted: Vec<String> = fingerprints.iter().map(|f| json::quote(f)).collect();
+    let quoted: Vec<String> = fingerprints.iter().map(|f| quote(f)).collect();
     let line = format!(
         "{{\"op\":\"partition\",\"fingerprints\":[{}],\"kernel\":{},\"config\":{},\"total\":{total},\"algorithm\":{}}}",
         quoted.join(","),
-        json::quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
-        json::quote(args.get("config").map(String::as_str).unwrap_or("default")),
-        json::quote(algorithm),
+        quote(args.get("kernel").map(String::as_str).unwrap_or("default")),
+        quote(args.get("config").map(String::as_str).unwrap_or("default")),
+        quote(algorithm),
     );
     let fields = exchange(client, &line);
     let ds = nums(&fields, "ds");

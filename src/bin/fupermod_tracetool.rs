@@ -43,9 +43,10 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::PathBuf;
 
+use fupermod::core::json;
 use fupermod::core::trace::SCHEMA_VERSION;
 use fupermod::trace::{
-    export_chrome, tail, validate, Json, Merge, Report, StampedEvent, TailOptions,
+    export_chrome, tail, validate, Merge, Report, StampedEvent, TailOptions,
 };
 
 fn main() {
@@ -299,12 +300,12 @@ fn cmd_validate(rest: &[String]) -> i32 {
         eprintln!("validate takes exactly one document FILE");
         return 2;
     };
-    let read = |path: &str| -> Result<Json, String> {
+    let read = |path: &str| -> Result<json::Value, String> {
         let mut text = String::new();
         File::open(path)
             .and_then(|mut f| f.read_to_string(&mut text))
             .map_err(|e| format!("{path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+        json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
     let schema = match read(schema_path) {
         Ok(j) => j,
