@@ -1,6 +1,6 @@
 //! The distributed dynamic-balancing executor: the paper's
-//! `fupermod_dynamic` loop re-implemented as N communicating rank
-//! closures.
+//! `fupermod_dynamic` loop as one SPMD rank program, written once as
+//! an `async fn` over `RankComm` and run unchanged by every engine.
 //!
 //! Each iteration follows the paper's *partition → measure →
 //! rebalance* cycle, but the measurement happens **on the ranks**:
@@ -10,11 +10,18 @@
 //! 2. every rank benchmarks its own share locally (the `measure`
 //!    closure),
 //! 3. the measured [`Point`]s are gathered onto rank 0
-//!    ([`Communicator::gather_available`], so a dead rank yields a
-//!    gap instead of an error),
+//!    (`gather_available`, so a dead rank yields a gap instead of an
+//!    error),
 //! 4. rank 0 absorbs the observations into the partial models
 //!    ([`DynamicContext::absorb_observed`]), re-partitions, and
 //!    `scatterv`s the new shares plus a broadcast convergence flag.
+//!
+//! The thread, thread-sim and TCP backends run the program on a
+//! [`ThreadedComm`] through `block_on`: their ops complete
+//! synchronously, so one poll finishes it. The event engine runs the
+//! same futures for all `p` ranks on one thread
+//! (`sim::driver`), parking ranks at collectives and
+//! receives.
 //!
 //! On a fault-free plan this is **observation-for-observation
 //! identical** to the serial [`DynamicContext::run_to_balance`]: the
@@ -27,15 +34,123 @@
 //! across the survivors, with `fault` trace events documenting every
 //! injection.
 
-use std::sync::Mutex;
+use std::future::Future;
+use std::pin::pin;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
 use fupermod_core::dynamic::{DynamicContext, DynamicStep};
-use fupermod_core::trace::TraceEvent;
+use fupermod_core::trace::{TraceEvent, TraceSink};
 use fupermod_core::{CoreError, Point};
 
 use crate::comm::request::{RecvRequest, Request};
-use crate::comm::{run_ranks, Communicator, RuntimeConfig, ThreadedComm};
+use crate::comm::{run_ranks, RuntimeConfig, ThreadedComm};
 use crate::error::RuntimeError;
+use crate::sim::{EventSim, SimEngine};
+use crate::wire::Wire;
+
+/// The communication a rank program uses — only the ops the
+/// balancing loop needs. Collectives and receive waits are `async`:
+/// on the event engine they park the rank until the driver can
+/// complete them. Sends and receive posts complete at once.
+pub(crate) trait RankComm {
+    /// A posted receive, completed by [`RankComm::wait`].
+    type Recv<'a, T: Wire>
+    where
+        Self: 'a;
+
+    fn rank(&self) -> usize;
+
+    fn size(&self) -> usize;
+
+    /// Rank `r` receives `parts[r]`; only the root passes `parts`.
+    async fn scatterv<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        parts: Option<&[T]>,
+    ) -> Result<T, RuntimeError>;
+
+    /// The root receives every rank's value, `None` where a rank died.
+    async fn gather_available<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        value: &T,
+    ) -> Result<Option<Vec<Option<T>>>, RuntimeError>;
+
+    /// Every rank receives the root's value; only the root passes it.
+    async fn bcast<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        value: Option<&T>,
+    ) -> Result<T, RuntimeError>;
+
+    /// Posts an eager send and completes it.
+    fn isend<T: Wire>(&self, dst: usize, value: &T) -> Result<(), RuntimeError>;
+
+    /// Posts a receive from `src`.
+    fn irecv<T: Wire>(&self, src: usize) -> Result<Self::Recv<'_, T>, RuntimeError>;
+
+    /// Completes a posted receive.
+    async fn wait<'a, T: Wire>(&'a self, req: Self::Recv<'a, T>) -> Result<T, RuntimeError>;
+}
+
+/// The thread, thread-sim and TCP backends: every op is synchronous.
+impl RankComm for ThreadedComm {
+    type Recv<'a, T: Wire> = RecvRequest<'a, T>;
+
+    fn rank(&self) -> usize {
+        crate::Communicator::rank(self)
+    }
+
+    fn size(&self) -> usize {
+        crate::Communicator::size(self)
+    }
+
+    async fn scatterv<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        parts: Option<&[T]>,
+    ) -> Result<T, RuntimeError> {
+        crate::Communicator::scatterv(self, root, parts)
+    }
+
+    async fn gather_available<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        value: &T,
+    ) -> Result<Option<Vec<Option<T>>>, RuntimeError> {
+        crate::Communicator::gather_available(self, root, value)
+    }
+
+    async fn bcast<T: Wire + Clone + 'static>(
+        &mut self,
+        root: usize,
+        value: Option<&T>,
+    ) -> Result<T, RuntimeError> {
+        crate::Communicator::bcast(self, root, value)
+    }
+
+    fn isend<T: Wire>(&self, dst: usize, value: &T) -> Result<(), RuntimeError> {
+        ThreadedComm::isend(self, dst, value)?.wait()
+    }
+
+    fn irecv<T: Wire>(&self, src: usize) -> Result<RecvRequest<'_, T>, RuntimeError> {
+        ThreadedComm::irecv(self, src)
+    }
+
+    async fn wait<'a, T: Wire>(&'a self, req: RecvRequest<'a, T>) -> Result<T, RuntimeError> {
+        req.wait()
+    }
+}
+
+/// Runs a rank program whose ops never park (a [`ThreadedComm`]
+/// program) to completion in one poll.
+pub(crate) fn block_on<F: Future>(program: F) -> F::Output {
+    match pin!(program).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("ThreadedComm ops complete synchronously"),
+    }
+}
 
 /// How the balancing loop's redistribution phase communicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,13 +202,16 @@ fn app_err(e: CoreError) -> RuntimeError {
     RuntimeError::App(e.to_string())
 }
 
+/// Rank 0's steps and final sizes; `None` on workers.
+type RankOutput = Option<(Vec<DynamicStep>, Vec<u64>)>;
+
 /// Runs the dynamic partitioning loop distributed over `size` ranks.
 ///
-/// * `config` selects the backend (thread or sim), fault plan, and
-///   trace sink.
+/// * `config` selects the backend (thread or sim) and engine, fault
+///   plan, and trace sink.
 /// * `make_ctx` builds the [`DynamicContext`] — it is invoked once,
-///   on rank 0's thread (partial models and the partitioner live
-///   only there, exactly like the paper's root process).
+///   for rank 0 (partial models and the partitioner live only there,
+///   exactly like the paper's root process).
 /// * `measure(rank, d)` benchmarks `d` units on `rank`; it runs
 ///   concurrently on the rank threads and must be deterministic per
 ///   `(rank, d)` for reproducible runs.
@@ -129,9 +247,14 @@ where
 /// requests. Both modes produce bit-identical steps and final sizes
 /// on fault-free plans.
 ///
+/// The engine only picks the runner: one OS thread per rank, or the
+/// event engine's single-threaded driver. Both run the same program.
+///
 /// # Errors
 ///
-/// Exactly those of [`run_to_balance_distributed`].
+/// Exactly those of [`run_to_balance_distributed`], plus
+/// [`RuntimeError::App`] when the event engine is selected without a
+/// sim topology.
 ///
 /// # Panics
 ///
@@ -148,69 +271,50 @@ where
     F: FnOnce() -> DynamicContext + Send,
     M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
 {
-    if config.engine() == crate::sim::SimEngine::Event {
-        // The event engine runs the same per-rank programs as
-        // resumable state machines on one thread — no rank threads,
-        // no comms to build.
-        return crate::sim::balance::run_event_balance(
-            &config, size, make_ctx, measure, max_steps, mode,
-        );
-    }
-    let plan = config.plan_ref().clone();
-    let sink = config.sink_ref().clone();
-    let (comms, handle) = config.build_with_handle(size);
-    // `make_ctx` is FnOnce but the rank closure is shared: rank 0
-    // takes it out of the slot.
+    let (plan, sink) = (config.plan_ref().clone(), config.sink_ref().clone());
+    let (measure, sink) = (&measure, &sink);
+    // `make_ctx` is FnOnce; rank 0 takes it out of the slot.
     let ctx_slot = Mutex::new(Some(make_ctx));
-
-    let results = run_ranks(comms, |mut comm: ThreadedComm| {
-        let rank = comm.rank();
-        let factor = plan.straggler_factor(rank);
-        let ctx = (rank == 0).then(|| {
-            let make = ctx_slot
-                .lock()
-                .expect("ctx slot poisoned")
-                .take()
-                .expect("make_ctx taken once");
-            make()
+    let take_ctx = |rank: usize| {
+        (rank == 0).then(|| {
+            let make = ctx_slot.lock().expect("ctx slot poisoned").take();
+            make.expect("make_ctx taken once")()
+        })
+    };
+    let (results, dead_ranks, virtual_time) = if config.engine() == SimEngine::Event {
+        let sim = EventSim::from_config(&config, size)?;
+        let (results, sim) = crate::sim::driver::run(sim, |mut comm| {
+            let (ctx, factor) = (take_ctx(comm.rank()), plan.straggler_factor(comm.rank()));
+            async move {
+                balance_rank(&mut comm, ctx, measure, max_steps, mode, factor, sink).await
+            }
         });
-        run_balance_rank(&mut comm, ctx, &measure, max_steps, mode, factor, &sink)
-            .map(|r| r.unwrap_or_default())
-    });
-
-    let mut rank_errors: Vec<Option<RuntimeError>> = Vec::with_capacity(size);
-    let mut root_result: Option<(Vec<DynamicStep>, Vec<u64>)> = None;
-    for (rank, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(payload) => {
-                if rank == 0 {
-                    root_result = Some(payload);
-                }
-                rank_errors.push(None);
-            }
-            Err(e) => {
-                if rank == 0 {
-                    return Err(e);
-                }
-                rank_errors.push(Some(e));
-            }
-        }
-    }
-    let (steps, final_sizes) = root_result.expect("rank 0 returned Ok");
+        (results, sim.dead_ranks(), Some(sim.max_time()))
+    } else {
+        let (comms, handle) = config.build_with_handle(size);
+        let results = run_ranks(comms, |mut comm: ThreadedComm| {
+            let (ctx, factor) = (take_ctx(comm.rank()), plan.straggler_factor(comm.rank()));
+            block_on(balance_rank(&mut comm, ctx, measure, max_steps, mode, factor, sink))
+        });
+        (results, handle.dead_ranks(), handle.virtual_time())
+    };
+    let mut results = results.into_iter();
+    let root = results.next().expect("rank 0 exists")?;
+    let (steps, final_sizes) = root.expect("rank 0 returns its steps");
+    let rank_errors = std::iter::once(None).chain(results.map(Result::err)).collect();
     Ok(BalanceOutcome {
         steps,
         final_sizes,
-        dead_ranks: handle.dead_ranks(),
+        dead_ranks,
         rank_errors,
-        virtual_time: handle.virtual_time(),
+        virtual_time,
     })
 }
 
-/// One rank's whole side of the distributed balancing loop — the
-/// per-rank entry point shared by [`run_to_balance_distributed_with`]
-/// (which multiplexes all ranks as threads of this process) and the
-/// multi-process TCP path (where each OS process drives exactly one
-/// rank over [`crate::net::connect`] and calls this directly).
+/// One rank's whole side of the distributed balancing loop, for the
+/// multi-process TCP path, where each OS process drives exactly one
+/// rank over [`crate::net::connect`]: the same program
+/// [`run_to_balance_distributed_with`] runs for every rank.
 ///
 /// * `ctx` must be `Some` exactly on rank 0 (the models and the
 ///   partitioner live only there); workers pass `None`.
@@ -230,7 +334,6 @@ where
 ///
 /// Panics if `ctx` presence does not match the rank, or if rank 0's
 /// context does not have `comm.size()` processes.
-#[allow(clippy::type_complexity)]
 pub fn run_balance_rank<M>(
     comm: &mut ThreadedComm,
     ctx: Option<DynamicContext>,
@@ -238,162 +341,142 @@ pub fn run_balance_rank<M>(
     max_steps: usize,
     mode: OverlapMode,
     straggler_factor: f64,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<Option<(Vec<DynamicStep>, Vec<u64>)>, RuntimeError>
+    sink: &Arc<dyn TraceSink>,
+) -> Result<RankOutput, RuntimeError>
 where
     M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
+{
+    block_on(balance_rank(comm, ctx, measure, max_steps, mode, straggler_factor, sink))
+}
+
+/// The balancing rank program.
+async fn balance_rank<C: RankComm, M>(
+    comm: &mut C,
+    ctx: Option<DynamicContext>,
+    measure: &M,
+    max_steps: usize,
+    mode: OverlapMode,
+    factor: f64,
+    sink: &Arc<dyn TraceSink>,
+) -> Result<RankOutput, RuntimeError>
+where
+    M: Fn(usize, u64) -> Result<Point, CoreError>,
 {
     let rank = comm.rank();
-    let size = comm.size();
-    if rank == 0 {
-        // Route the context's partition_step/dynamic_converged events
-        // into the run's trace sink, so a traced distributed run
-        // records its full dynamic history (the report tool rebuilds
-        // the imbalance table from it).
-        let mut ctx = ctx.expect("rank 0 owns the context").with_trace(sink.clone());
-        assert_eq!(
-            ctx.dist().sizes().len(),
-            size,
-            "context size must match communicator size"
-        );
-        match mode {
-            OverlapMode::Blocking => {
-                root_loop(comm, &mut ctx, measure, straggler_factor, max_steps, sink)
-            }
-            OverlapMode::Overlapped => {
-                root_loop_overlapped(comm, &mut ctx, measure, straggler_factor, max_steps, sink)
-            }
+    assert_eq!(ctx.is_some(), rank == 0, "rank 0, and only rank 0, owns the context");
+    // Route the context's partition_step/dynamic_converged events
+    // into the run's trace sink, so a traced distributed run records
+    // its full dynamic history (the report tool rebuilds the
+    // imbalance table from it).
+    let mut ctx = ctx.map(|ctx| ctx.with_trace(sink.clone()));
+    assert!(
+        ctx.as_ref().is_none_or(|c| c.dist().sizes().len() == comm.size()),
+        "context size must match communicator size"
+    );
+    // Measures this rank's share, applying the straggler compute factor.
+    let measure = |d: u64| {
+        let mut point = measure(rank, d.max(1)).map_err(app_err)?;
+        if factor != 1.0 {
+            let extra = point.t * (factor - 1.0);
+            point.t *= factor;
+            fupermod_core::telemetry::record_fault("straggler");
+            sink.record(&TraceEvent::Fault {
+                rank,
+                kind: "straggler".to_owned(),
+                peer: -1,
+                attempt: 0,
+                seconds: extra,
+            });
         }
-        .map(|steps| Some((steps, ctx.dist().sizes())))
-    } else {
-        assert!(ctx.is_none(), "only rank 0 owns the context");
-        match mode {
-            OverlapMode::Blocking => {
-                worker_loop(comm, measure, straggler_factor, max_steps, sink)
-            }
-            OverlapMode::Overlapped => {
-                worker_loop_overlapped(comm, measure, straggler_factor, max_steps, sink)
-            }
+        Ok(point)
+    };
+    let steps = match (mode, ctx.as_mut()) {
+        (OverlapMode::Blocking, ctx) => blocking_loop(comm, ctx, &measure, max_steps, sink).await?,
+        (OverlapMode::Overlapped, Some(ctx)) => {
+            root_overlapped(comm, ctx, &measure, max_steps, sink).await?
         }
-        .map(|()| None)
-    }
+        (OverlapMode::Overlapped, None) => {
+            worker_overlapped(comm, &measure, max_steps).await?;
+            Vec::new()
+        }
+    };
+    Ok(ctx.map(|ctx| (steps, ctx.dist().sizes())))
 }
 
-/// Measures this rank's share, applying the straggler compute factor.
-fn measure_share<M>(
-    rank: usize,
-    d: u64,
-    measure: &M,
-    factor: f64,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<Point, RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
-{
-    let mut point = measure(rank, d.max(1)).map_err(app_err)?;
-    if factor != 1.0 {
-        let extra = point.t * (factor - 1.0);
-        point.t *= factor;
-        fupermod_core::telemetry::record_fault("straggler");
-        sink.record(&TraceEvent::Fault {
-            rank,
-            kind: "straggler".to_owned(),
-            peer: -1,
-            attempt: 0,
-            seconds: extra,
-        });
-    }
-    Ok(point)
-}
-
-fn root_loop<M>(
-    comm: &mut ThreadedComm,
+/// Rank 0 absorbs one step's observations: a `None` slot is a dead
+/// rank, deactivated so its load is repartitioned across the
+/// survivors; then the context repartitions.
+fn absorb(
     ctx: &mut DynamicContext,
-    measure: &M,
-    factor: f64,
-    max_steps: usize,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<Vec<DynamicStep>, RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
-{
-    let mut steps = Vec::new();
-    // Distribute the initial shares.
-    let mut my_d = comm.scatterv(0, Some(&ctx.dist().sizes()))?;
-    for _ in 0..max_steps {
-        let point = measure_share(comm.rank(), my_d, measure, factor, sink)?;
-        let gathered = comm
-            .gather_available(0, &point)?
-            .expect("root receives the gather");
-        let mut observed = Vec::with_capacity(gathered.len());
-        for (rank, slot) in gathered.into_iter().enumerate() {
-            match slot {
-                Some(p) => observed.push(p),
-                None => {
-                    // Rank died: repartition its load across survivors.
-                    if ctx.active()[rank] {
-                        ctx.deactivate(rank);
-                        fupermod_core::telemetry::record_fault("degraded");
-                        sink.record(&TraceEvent::Fault {
-                            rank: comm.rank(),
-                            kind: "degraded".to_owned(),
-                            peer: rank as i64,
-                            attempt: 0,
-                            seconds: 0.0,
-                        });
-                    }
-                    observed.push(Point::single(0, 0.0));
-                }
-            }
+    slots: Vec<Option<Point>>,
+    sink: &Arc<dyn TraceSink>,
+) -> Result<DynamicStep, RuntimeError> {
+    let mut degrade = |rank: usize| {
+        if ctx.active()[rank] {
+            ctx.deactivate(rank);
+            fupermod_core::telemetry::record_fault("degraded");
+            sink.record(&TraceEvent::Fault {
+                rank: 0,
+                kind: "degraded".to_owned(),
+                peer: rank as i64,
+                attempt: 0,
+                seconds: 0.0,
+            });
         }
-        let step = ctx.absorb_observed(observed).map_err(app_err)?;
-        let converged = step.converged;
-        steps.push(step);
-        my_d = comm.scatterv(0, Some(&ctx.dist().sizes()))?;
-        comm.bcast(0, Some(&converged))?;
-        if converged {
+        Point::single(0, 0.0)
+    };
+    let observed = (0..).zip(slots);
+    let observed = observed.map(|(rank, slot)| slot.unwrap_or_else(|| degrade(rank))).collect();
+    ctx.absorb_observed(observed).map_err(app_err)
+}
+
+/// `Ok(None)` when `result` failed only because `peer` is dead.
+fn unless_dead<T>(result: Result<T, RuntimeError>, peer: usize) -> Result<Option<T>, RuntimeError> {
+    match result {
+        Ok(v) => Ok(Some(v)),
+        Err(RuntimeError::RankDead { rank, .. }) if rank == peer => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The blocking loop, one program for the root (`ctx` is `Some`) and
+/// the workers: three collectives close every iteration.
+async fn blocking_loop<C: RankComm>(
+    comm: &mut C,
+    mut ctx: Option<&mut DynamicContext>,
+    measure: &impl Fn(u64) -> Result<Point, RuntimeError>,
+    max_steps: usize,
+    sink: &Arc<dyn TraceSink>,
+) -> Result<Vec<DynamicStep>, RuntimeError> {
+    let mut steps = Vec::new();
+    let shares = |ctx: &Option<&mut DynamicContext>| ctx.as_ref().map(|c| c.dist().sizes());
+    let mut my_d = comm.scatterv(0, shares(&ctx).as_deref()).await?;
+    for _ in 0..max_steps {
+        let point = measure(my_d)?;
+        let gathered = comm.gather_available(0, &point).await?;
+        let mut converged = false;
+        if let Some(ctx) = ctx.as_deref_mut() {
+            let step = absorb(ctx, gathered.expect("root receives the gather"), sink)?;
+            converged = step.converged;
+            steps.push(step);
+        }
+        my_d = comm.scatterv(0, shares(&ctx).as_deref()).await?;
+        let root = ctx.is_some().then_some(&converged);
+        if comm.bcast(0, root).await? {
             break;
         }
     }
     Ok(steps)
 }
 
-fn worker_loop<M>(
-    comm: &mut ThreadedComm,
-    measure: &M,
-    factor: f64,
-    max_steps: usize,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<(), RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
-{
-    let mut my_d = comm.scatterv::<u64>(0, None)?;
-    for _ in 0..max_steps {
-        let point = measure_share(comm.rank(), my_d, measure, factor, sink)?;
-        comm.gather_available(0, &point)?;
-        my_d = comm.scatterv::<u64>(0, None)?;
-        let converged = comm.bcast::<bool>(0, None)?;
-        if converged {
-            break;
-        }
+/// Sends `[share, converged]` to every worker, tolerating a dead one
+/// (the survivors keep balancing over the remaining ranks); returns
+/// rank 0's own share.
+fn send_shares<C: RankComm>(comm: &C, sizes: &[u64], converged: bool) -> Result<u64, RuntimeError> {
+    for (dst, &share) in sizes.iter().enumerate().skip(1) {
+        unless_dead(comm.isend(dst, &vec![share, u64::from(converged)]), dst)?;
     }
-    Ok(())
-}
-
-/// Sends `[share, converged]` to a worker, tolerating its death (the
-/// survivors keep balancing over the remaining ranks).
-fn send_share_tolerant(
-    comm: &ThreadedComm,
-    dst: usize,
-    share: u64,
-    converged: bool,
-) -> Result<(), RuntimeError> {
-    match comm.isend(dst, &vec![share, u64::from(converged)]) {
-        Ok(req) => req.wait(),
-        Err(RuntimeError::RankDead { rank, .. }) if rank == dst => Ok(()),
-        Err(e) => Err(e),
-    }
+    Ok(sizes[0])
 }
 
 /// Overlapped root loop: shares go out as eager `isend`s (no closing
@@ -402,76 +485,31 @@ fn send_share_tolerant(
 /// points — and any fault-injected delivery latency on them — are in
 /// flight under rank 0's compute. Observations are absorbed in the
 /// same ascending rank order as the blocking gather.
-fn root_loop_overlapped<M>(
-    comm: &ThreadedComm,
+async fn root_overlapped<C: RankComm>(
+    comm: &C,
     ctx: &mut DynamicContext,
-    measure: &M,
-    factor: f64,
+    measure: &impl Fn(u64) -> Result<Point, RuntimeError>,
     max_steps: usize,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<Vec<DynamicStep>, RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
-{
-    let size = comm.size();
+    sink: &Arc<dyn TraceSink>,
+) -> Result<Vec<DynamicStep>, RuntimeError> {
     let mut steps = Vec::new();
-    // Distribute the initial shares.
-    let sizes = ctx.dist().sizes();
-    let mut my_d = sizes[0];
-    for (dst, &share) in sizes.iter().enumerate().skip(1) {
-        send_share_tolerant(comm, dst, share, false)?;
-    }
+    let mut my_d = send_shares(comm, &ctx.dist().sizes(), false)?;
     for _ in 0..max_steps {
-        // Post the measurement receives first: worker points arrive
-        // while rank 0 measures.
-        let mut pending: Vec<Option<RecvRequest<'_, Point>>> = Vec::with_capacity(size - 1);
-        for src in 1..size {
-            match comm.irecv::<Point>(src) {
-                Ok(req) => pending.push(Some(req)),
-                Err(RuntimeError::RankDead { rank, .. }) if rank == src => pending.push(None),
-                Err(e) => return Err(e),
-            }
+        let mut pending = Vec::with_capacity(comm.size() - 1);
+        for src in 1..comm.size() {
+            pending.push(unless_dead(comm.irecv::<Point>(src), src)?);
         }
-        let own = measure_share(comm.rank(), my_d, measure, factor, sink)?;
-        let mut observed = Vec::with_capacity(size);
-        observed.push(own);
-        for (i, req) in pending.into_iter().enumerate() {
-            let src = i + 1;
-            let slot = match req {
+        let mut slots = vec![Some(measure(my_d)?)];
+        for (src, req) in (1..).zip(pending) {
+            slots.push(match req {
+                Some(req) => unless_dead(comm.wait(req).await, src)?,
                 None => None,
-                Some(req) => match req.wait() {
-                    Ok(point) => Some(point),
-                    Err(RuntimeError::RankDead { rank, .. }) if rank == src => None,
-                    Err(e) => return Err(e),
-                },
-            };
-            match slot {
-                Some(point) => observed.push(point),
-                None => {
-                    // Rank died: repartition its load across survivors.
-                    if ctx.active()[src] {
-                        ctx.deactivate(src);
-                        fupermod_core::telemetry::record_fault("degraded");
-                        sink.record(&TraceEvent::Fault {
-                            rank: comm.rank(),
-                            kind: "degraded".to_owned(),
-                            peer: src as i64,
-                            attempt: 0,
-                            seconds: 0.0,
-                        });
-                    }
-                    observed.push(Point::single(0, 0.0));
-                }
-            }
+            });
         }
-        let step = ctx.absorb_observed(observed).map_err(app_err)?;
+        let step = absorb(ctx, slots, sink)?;
         let converged = step.converged;
         steps.push(step);
-        let sizes = ctx.dist().sizes();
-        my_d = sizes[0];
-        for (dst, &share) in sizes.iter().enumerate().skip(1) {
-            send_share_tolerant(comm, dst, share, converged)?;
-        }
+        my_d = send_shares(comm, &ctx.dist().sizes(), converged)?;
         if converged {
             break;
         }
@@ -481,36 +519,32 @@ where
 
 /// Overlapped worker loop: receives `[share, converged]` messages and
 /// pushes measurements back with eager `isend`s — no barrier crossing.
-fn worker_loop_overlapped<M>(
-    comm: &ThreadedComm,
-    measure: &M,
-    factor: f64,
+async fn worker_overlapped<C: RankComm>(
+    comm: &C,
+    measure: &impl Fn(u64) -> Result<Point, RuntimeError>,
     max_steps: usize,
-    sink: &std::sync::Arc<dyn fupermod_core::trace::TraceSink>,
-) -> Result<(), RuntimeError>
-where
-    M: Fn(usize, u64) -> Result<Point, CoreError> + Sync,
-{
-    let decode_share = |op: &'static str, msg: Vec<u64>| -> Result<(u64, bool), RuntimeError> {
-        match msg.as_slice() {
-            [share, converged] => Ok((*share, *converged != 0)),
-            _ => Err(RuntimeError::Decode {
-                what: op,
-                detail: format!("share message has {} words, expected 2", msg.len()),
-            }),
-        }
-    };
-    let (mut my_d, _) = decode_share("share", comm.irecv::<Vec<u64>>(0)?.wait()?)?;
+) -> Result<(), RuntimeError> {
+    let (mut my_d, _) = recv_share(comm).await?;
     for _ in 0..max_steps {
-        let point = measure_share(comm.rank(), my_d, measure, factor, sink)?;
-        comm.isend(0, &point)?.wait()?;
-        let (d, converged) = decode_share("share", comm.irecv::<Vec<u64>>(0)?.wait()?)?;
-        my_d = d;
+        comm.isend(0, &measure(my_d)?)?;
+        let converged;
+        (my_d, converged) = recv_share(comm).await?;
         if converged {
             break;
         }
     }
     Ok(())
+}
+
+async fn recv_share<C: RankComm>(comm: &C) -> Result<(u64, bool), RuntimeError> {
+    let msg: Vec<u64> = comm.wait(comm.irecv(0)?).await?;
+    match msg.as_slice() {
+        [share, converged] => Ok((*share, *converged != 0)),
+        _ => Err(RuntimeError::Decode {
+            what: "share",
+            detail: format!("share message has {} words, expected 2", msg.len()),
+        }),
+    }
 }
 
 #[cfg(test)]

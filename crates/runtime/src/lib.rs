@@ -35,9 +35,10 @@
 //!   schema-v2 `comm`/`fault` trace events instead of hangs.
 //! * A **distributed executor**
 //!   ([`run_to_balance_distributed`]) that re-implements the serial
-//!   `DynamicContext::run_to_balance` as N communicating rank
-//!   closures — bit-identical on a fault-free plan, gracefully
-//!   degrading (dead ranks rebalanced away) under an adversarial one.
+//!   `DynamicContext::run_to_balance` as one SPMD rank program, an
+//!   `async fn` that every backend and the event engine run unchanged
+//!   — bit-identical on a fault-free plan, gracefully degrading (dead
+//!   ranks rebalanced away) under an adversarial one.
 //!
 //! See `docs/RUNTIME.md` for a guided tour and the fault-plan JSON
 //! schema.

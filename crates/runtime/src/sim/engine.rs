@@ -100,8 +100,10 @@ pub(super) enum SendFate {
 }
 
 /// The discrete-event simulation engine: every rank of the simulated
-/// communicator as a resumable state machine, dispatched from a
-/// binary-heap event queue in `(virtual clock, rank)` order.
+/// communicator as a few vector slots, collectives dispatched from a
+/// binary-heap event queue in `(virtual clock, rank)` order. Rank
+/// programs run on it through the rank driver; the lockstep API
+/// below takes one call for all ranks at once.
 ///
 /// See the [module docs](crate::sim) for the parity contract and
 /// `docs/RUNTIME.md` §9 for ordering/determinism details.
@@ -129,7 +131,7 @@ pub struct EventSim {
     /// Point-to-point mailboxes, FIFO per `(src, dst)` pair.
     pub(super) mail: HashMap<(usize, usize), VecDeque<Env>>,
     /// Which ranks are still executing their program (false once a
-    /// rank's program returned an error — dead or halted).
+    /// rank died or its program returned).
     pub(super) running: Vec<bool>,
     /// Dispatched event counter (op begins/ends, deliveries,
     /// coalesced fast-path rounds) for events/sec reporting.
@@ -560,9 +562,18 @@ impl EventSim {
         Ok(None)
     }
 
-    /// Blocking-receive mirror. In virtual time a message that has
-    /// not been produced by now never will be (the engine has already
-    /// dispatched every event that could produce it), so "would
+    /// Whether a receive by `rank` from `src` completes without
+    /// blocking: mail is waiting, or a dead endpoint fails it.
+    pub(super) fn recv_ready(&self, rank: usize, src: usize) -> bool {
+        self.dead[rank]
+            || self.dead[src]
+            || self.mail.get(&(src, rank)).is_some_and(|q| !q.is_empty())
+    }
+
+    /// Blocking-receive mirror. Callers get here only once nothing
+    /// else can run (lockstep callers by construction, the
+    /// [`super::driver`] after every rank has parked), so a message
+    /// that has not been produced by now never will be, and "would
     /// block" resolves immediately to the thread backend's deadline
     /// outcome: the waiter times out and is marked dead.
     pub(super) fn blocking_take(
@@ -574,19 +585,19 @@ impl EventSim {
     ) -> Result<Vec<u8>, RuntimeError> {
         match self.try_take(op, rank, src, charge_p2p)? {
             Some(bytes) => Ok(bytes),
-            None => {
-                let deadline = self.plan.deadline.unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
-                self.mark_dead(rank);
-                // Thread mirror: the timeout fault event carries no
-                // peer (the waiter only knows its own deadline fired).
-                self.fault(rank, "timeout", -1, 0, deadline);
-                Err(RuntimeError::Timeout {
-                    op,
-                    rank,
-                    deadline,
-                })
-            }
+            None => Err(self.starve(op, rank)),
         }
+    }
+
+    /// Mirror of the thread backend's deadline starvation: a rank
+    /// blocked on a sender that is alive but no longer sending hits
+    /// the plan deadline and fail-stops. The timeout fault event
+    /// carries no peer (the waiter only knows its own deadline fired).
+    pub(super) fn starve(&mut self, op: &'static str, rank: usize) -> RuntimeError {
+        let deadline = self.plan.deadline.unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
+        self.mark_dead(rank);
+        self.fault(rank, "timeout", -1, 0, deadline);
+        RuntimeError::Timeout { op, rank, deadline }
     }
 
     // ----- public point-to-point API ----------------------------------

@@ -2,13 +2,14 @@
 //!
 //! The thread-backed sim ([`crate::RuntimeConfig::sim`]) runs one OS
 //! thread per rank, which caps practical scale near `p = 64`. This
-//! module replaces the threads with **resumable per-rank state
-//! machines** driven by a single-threaded binary-heap event queue:
-//! every rank is a few vector slots (virtual clock, Lamport clock, op
-//! counter, liveness), collectives execute as *cohorts* against the
-//! exact same Hockney + per-round schedule charges
-//! ([`fupermod_platform::comm::SimComm`]), and the only per-message
-//! state is the live mailbox entries — memory is
+//! module replaces the threads with one single-threaded driver
+//! (`driver`) that polls each rank's program — the same `async fn`
+//! the thread backends run — as a future, and parks it at collectives
+//! and receives. Every rank's engine state is a few vector slots
+//! (virtual clock, Lamport clock, op counter, liveness), collectives
+//! execute as *cohorts* against the exact same Hockney + per-round
+//! schedule charges ([`fupermod_platform::comm::SimComm`]), and the
+//! only per-message state is the live mailbox entries — memory is
 //! `O(live events + per-rank state)` instead of `O(threads)`.
 //!
 //! # Contract
@@ -33,10 +34,9 @@
 //!
 //! [`RuntimeConfig::with_engine`]: crate::RuntimeConfig::with_engine
 
+pub(crate) mod driver;
 mod engine;
 mod ops;
-
-pub mod balance;
 
 pub use engine::{EventSim, RankResults, RecvTicket, SendTicket};
 

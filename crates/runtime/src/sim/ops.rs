@@ -111,19 +111,6 @@ struct Inflight {
 impl EventSim {
     // ----- shared driver plumbing -------------------------------------
 
-    /// Mirror of the thread backend's deadline starvation: a rank
-    /// blocked on a sender that is alive but no longer sending hits
-    /// the plan deadline and fail-stops.
-    fn starve(&mut self, op: &'static str, rank: usize) -> RuntimeError {
-        let deadline = self
-            .plan
-            .deadline
-            .unwrap_or(crate::comm::DEFAULT_DEADLINE_SECS);
-        self.mark_dead(rank);
-        self.fault(rank, "timeout", -1, 0, deadline);
-        RuntimeError::Timeout { op, rank, deadline }
-    }
-
     /// Pass 2 of a star fan-in: the collector's `collect_payloads`,
     /// consuming leaf send fates in ascending src order. Delivered
     /// contributions are marked `present`; the first exhausted sender
@@ -1505,6 +1492,13 @@ impl EventSim {
     /// root's payload; a rank the payload never reached errs
     /// `RankDead { rank: root }`.
     pub fn bcast<T: Wire>(&mut self, root: usize, value: &T) -> RankResults<T> {
+        self.bcast_encoded(root, &value.to_bytes())
+    }
+
+    /// [`EventSim::bcast`] with the root's payload already encoded.
+    /// The payload is read only when the root enters the cohort, so a
+    /// driver whose root has already left passes an empty one.
+    pub(super) fn bcast_encoded<T: Wire>(&mut self, root: usize, bytes: &[u8]) -> RankResults<T> {
         const OP: &str = "bcast";
         let mut out: RankResults<T> = blanks(self.size);
         if self.reject_invalid_root(OP, root, &mut out) {
@@ -1514,10 +1508,9 @@ impl EventSim {
             return out;
         };
         let resolved = self.policy.bcast.resolve_rooted(self.size);
-        let bytes = value.to_bytes();
         let phase: PhaseResults<T> = match resolved {
-            Resolved::Hub => self.bcast_hub_phase(OP, root, &bytes, &in_cohort),
-            Resolved::Ring | Resolved::Tree => self.bcast_tree_phase(OP, root, &bytes, &in_cohort),
+            Resolved::Hub => self.bcast_hub_phase(OP, root, bytes, &in_cohort),
+            Resolved::Ring | Resolved::Tree => self.bcast_tree_phase(OP, root, bytes, &in_cohort),
         };
         let gen = self.close_cohort(&members);
         let rounds = self.rooted_rounds(resolved);

@@ -6,7 +6,8 @@
 //! Deliberately tiny and std-only — no routing table, no keep-alive
 //! tuning, no TLS. It answers exactly three GET paths, closes the
 //! connection after each response (`Connection: close`), and ignores
-//! request headers and bodies. That is all a scraper needs, and it
+//! request headers and bodies. A request head longer than
+//! [`MAX_HEAD`] gets `431` and the connection closes. That is all a scraper needs, and it
 //! keeps the daemon's dependency budget at zero.
 //!
 //! The accept loop mirrors [`crate::server`]: non-blocking accepts
@@ -17,7 +18,7 @@
 //! shutdown begins or if a store shard mutex has been poisoned.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -31,6 +32,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Per-connection socket timeout: a scraper that stalls mid-request
 /// must not pin a handler thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request head (request line and headers) the listener
+/// reads, bytes.
+pub const MAX_HEAD: u64 = 8 * 1024;
 
 /// Content type of the Prometheus text exposition format.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -80,24 +85,34 @@ fn handle_connection(
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(MAX_HEAD));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain (and ignore) headers up to the blank line so the peer is
     // not left with an unread buffer when we close.
     let mut header = String::new();
-    loop {
+    let complete = loop {
         header.clear();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
+        if reader.read_line(&mut header)? == 0 {
+            break false;
         }
-    }
+        if header == "\r\n" || header == "\n" {
+            break true;
+        }
+    };
+    let too_large = !complete && reader.get_ref().limit() == 0;
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
+    let (status, content_type, body) = if too_large {
+        (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n".to_owned(),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -141,7 +156,15 @@ fn handle_connection(
         body.len()
     )?;
     writer.write_all(body.as_bytes())?;
-    writer.flush()
+    writer.flush()?;
+    if too_large {
+        // Lingering close: drain a bounded part of the unread head, so
+        // the close does not reset the connection under the reply.
+        writer.shutdown(Shutdown::Write)?;
+        let mut rest = reader.into_inner().into_inner().take(1 << 20);
+        std::io::copy(&mut rest, &mut std::io::sink())?;
+    }
+    Ok(())
 }
 
 /// A one-shot HTTP GET over a fresh connection, for scripts and gates

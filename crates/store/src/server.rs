@@ -3,8 +3,12 @@
 //! One OS thread per connection (the multi-tenant model of the rest
 //! of the runtime layer), line-delimited JSON requests answered in
 //! lockstep on the same stream. A `shutdown` request flips a shared
-//! flag; the accept loop polls it between (non-blocking) accepts, so
-//! the daemon drains and exits without being killed.
+//! flag; the accept loop polls it between (non-blocking) accepts,
+//! then shuts the read half of every open connection, so each handler
+//! flushes its in-flight response, reads EOF and ends — an idle
+//! client cannot keep the daemon alive. A request line longer than
+//! [`MAX_LINE`] gets a `line too long` error and the connection
+//! closes, so one client cannot make the daemon buffer without bound.
 //!
 //! Every request is wrapped in a telemetry span recorded into the
 //! store's registry: `served_requests_total{op,outcome}`,
@@ -14,8 +18,8 @@
 //! configurable [`ServeOptions::slow_request`] threshold are logged
 //! to stderr.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -25,9 +29,14 @@ use fupermod_core::telemetry::{Counter, Histogram, Registry};
 
 use crate::protocol::{self, Request};
 use crate::store::ModelStore;
+use crate::StoreError;
 
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Longest request line the daemon reads, bytes, newline excluded
+/// (the longest line of the mixed serving benchmark is about 2 KB).
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Request op tags the per-request telemetry is keyed by: the
 /// protocol ops plus `invalid` for lines that fail to parse.
@@ -109,8 +118,9 @@ impl RequestSpans {
 /// Runs the serving loop on `listener` until a client sends
 /// `shutdown` (or `stop` is flipped externally), with default
 /// options. Blocks the calling thread; connection handlers run on
-/// their own threads and are joined before returning, so every
-/// in-flight response is flushed.
+/// their own threads. On shutdown each open connection's read half
+/// is closed and its handler joined, so every in-flight response is
+/// flushed and idle clients do not hold the daemon open.
 ///
 /// # Errors
 ///
@@ -142,12 +152,15 @@ pub fn serve_with(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Out of descriptors: drop (close) the connection.
+                let Ok(read_half) = stream.try_clone() else { continue };
                 let store = Arc::clone(&store);
                 let stop = Arc::clone(&stop);
                 let spans = spans.clone();
-                handles.push(thread::spawn(move || {
+                let handle = thread::spawn(move || {
                     let _ = handle_connection(stream, &store, &stop, &spans, options);
-                }));
+                });
+                handles.push((handle, read_half));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(ACCEPT_POLL);
@@ -156,9 +169,12 @@ pub fn serve_with(
         }
         // Reap finished handlers so a long-lived daemon does not
         // accumulate join handles.
-        handles.retain(|h| !h.is_finished());
+        handles.retain(|(h, _)| !h.is_finished());
     }
-    for h in handles {
+    for (_, read_half) in &handles {
+        let _ = read_half.shutdown(Shutdown::Read);
+    }
+    for (h, _) in handles {
         let _ = h.join();
     }
     Ok(())
@@ -173,15 +189,28 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE as u64 + 1; // + newline
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
+        let too_long = buf.len() as u64 == limit && buf.last() != Some(&b'\n');
         let started = Instant::now();
-        spans.bytes_in.add(line.len() as u64 + 1); // + newline
-        let (op, response, is_shutdown) = match protocol::parse_request(&line) {
+        let parsed = if too_long {
+            Err(StoreError::Protocol(format!("line too long (limit {MAX_LINE} bytes)")))
+        } else {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            protocol::parse_request(line)
+        };
+        spans.bytes_in.add(buf.len() as u64);
+        let (op, response, is_shutdown) = match parsed {
             Ok(request) => {
                 let is_shutdown = request == Request::Shutdown;
                 (request.op(), protocol::handle(store, &request), is_shutdown)
@@ -208,6 +237,12 @@ fn handle_connection(
         }
         if is_shutdown {
             stop.store(true, Ordering::SeqCst);
+            break;
+        }
+        if too_long {
+            // Consume a bounded part of the rest of the line, so the
+            // close does not reset the connection under the reply.
+            let _ = (&mut reader).take(limit).skip_until(b'\n');
             break;
         }
     }
@@ -313,5 +348,29 @@ mod tests {
         assert!(resp.contains("\"shutting_down\":true"), "{resp}");
         server.join().unwrap().unwrap();
         assert_eq!(store.len(), 2);
+    }
+
+    /// An idle connection must not keep the daemon alive after
+    /// `shutdown`: serve() returns while the idle client still holds
+    /// its socket open.
+    #[test]
+    fn shutdown_returns_with_an_idle_client_connected() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let store = Arc::new(ModelStore::new(StoreConfig::default()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let server = thread::spawn(move || {
+            let served = serve(listener, store, Arc::new(AtomicBool::new(false)));
+            let _ = done_tx.send(served.is_ok());
+        });
+        let mut idle = Client::connect(addr).unwrap();
+        assert!(idle.request(r#"{"op":"stats"}"#).unwrap().contains("\"ok\":true"));
+        let resp = Client::connect(addr).unwrap().request(r#"{"op":"shutdown"}"#).unwrap();
+        assert!(resp.contains("\"shutting_down\":true"), "{resp}");
+        let returned = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(returned, Ok(true), "serve() still running with an idle client open");
+        server.join().unwrap();
+        // The idle connection was closed under the client.
+        assert!(idle.request(r#"{"op":"stats"}"#).is_err());
     }
 }

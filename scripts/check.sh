@@ -110,6 +110,24 @@ run ./target/release/fupermod_simulate \
     --app matmul --pipeline overlapped --runtime sim --size 8 \
     | grep '^product checksum:' > "$TRACE_TMP/matmul_overlapped.txt"
 run diff "$TRACE_TMP/matmul_blocking.txt" "$TRACE_TMP/matmul_overlapped.txt"
+# Engine x mode parity gate: the balancing rank program is one async
+# fn that the thread-backed sim runs on rank threads and the event
+# engine's driver runs as futures; blocking and overlapped runs must
+# print byte-identical results on both engines (docs/RUNTIME.md §9).
+PARITY_DIR="$TRACE_TMP/parity"
+mkdir -p "$PARITY_DIR"
+for engine in thread event; do
+    for overlap in no yes; do
+        echo "==> parity gate: --sim-engine $engine --overlap $overlap"
+        ./target/release/fupermod_simulate --app balance --platform two-speed \
+            --ranks 8 --seed 7 --size 20000 --runtime sim \
+            --sim-engine "$engine" --overlap "$overlap" \
+            > "$PARITY_DIR/$engine-$overlap.txt"
+    done
+done
+for run_name in thread-yes event-no event-yes; do
+    run diff "$PARITY_DIR/thread-no.txt" "$PARITY_DIR/$run_name.txt"
+done
 # Multi-process transport gate: a 4-process localhost TCP run of the
 # balance app must print output byte-identical to the single-process
 # threaded run (bit-identical final partitions), and the per-process

@@ -314,19 +314,7 @@ fn main() {
                         // peer still needs this rank mid-collective.
                         let _ = comm.barrier();
                         if let Some((steps, final_sizes)) = root_outcome {
-                            println!("platform: {}", platform.name());
-                            println!(
-                                "converged: {} in {} steps",
-                                steps.last().is_some_and(|s| s.converged),
-                                steps.len()
-                            );
-                            if let Some(last) = steps.last() {
-                                println!("final imbalance: {:.4}", last.imbalance);
-                            }
-                            println!("final distribution: {final_sizes:?}");
-                            if !dead.is_empty() {
-                                println!("dead ranks: {dead:?}");
-                            }
+                            print_balance(platform.name(), &steps, &final_sizes, &dead);
                         }
                         comm.shutdown();
                     }
@@ -342,19 +330,12 @@ fn main() {
                 let outcome =
                     run_to_balance_distributed_with(config, size, make_ctx, measure, 25, mode)
                         .expect("distributed balance run failed");
-                println!("platform: {}", platform.name());
-                println!(
-                    "converged: {} in {} steps",
-                    outcome.converged(),
-                    outcome.steps.len()
+                print_balance(
+                    platform.name(),
+                    &outcome.steps,
+                    &outcome.final_sizes,
+                    &outcome.dead_ranks,
                 );
-                if let Some(last) = outcome.steps.last() {
-                    println!("final imbalance: {:.4}", last.imbalance);
-                }
-                println!("final distribution: {:?}", outcome.final_sizes);
-                if !outcome.dead_ranks.is_empty() {
-                    println!("dead ranks: {:?}", outcome.dead_ranks);
-                }
             }
         }
         other => {
@@ -363,4 +344,28 @@ fn main() {
         }
     }
     cli::finish_trace(sink.as_ref());
+}
+
+/// Prints a distributed balancing run's result (rank 0's view): the
+/// same five lines whether the ranks ran in this process or one per
+/// process over TCP.
+fn print_balance(
+    platform: &str,
+    steps: &[fupermod::core::dynamic::DynamicStep],
+    final_sizes: &[u64],
+    dead: &[usize],
+) {
+    println!("platform: {platform}");
+    println!(
+        "converged: {} in {} steps",
+        steps.last().is_some_and(|s| s.converged),
+        steps.len()
+    );
+    if let Some(last) = steps.last() {
+        println!("final imbalance: {:.4}", last.imbalance);
+    }
+    println!("final distribution: {final_sizes:?}");
+    if !dead.is_empty() {
+        println!("dead ranks: {dead:?}");
+    }
 }
